@@ -168,7 +168,7 @@ class BitWriter:
     def write_uint(self, value: int, width: int) -> None:
         if width < 0:
             raise InvalidParameterError(f"negative width {width}")
-        if value < 0 or (width < 64 and value >> width):
+        if value < 0 or value >> width:
             raise InvalidParameterError(
                 f"value {value} does not fit in {width} bits"
             )

@@ -5,7 +5,8 @@ grid of them, `bounds-check` compares a measured error against the
 guaranteed ceiling, and `kmeans`, `power`, `sgd`, `fedavg` run the
 distributed tasks. Options resolve as built-in defaults, then values
 from a `--config` JSON object (keyed by option dest names such as
-`sigma_md`), then explicit flags.
+`sigma_md`, and checked like the flags they stand for), then explicit
+flags.
 
 Exit codes: 0 success, 1 a checked bound failed, 2 bad input or a
 dataset problem, 3 optimization divergence.
@@ -21,6 +22,7 @@ from pathlib import Path
 from .harness import (
     AXES,
     KINDS,
+    SCHEME_TABLE,
     SCHEMES,
     SyntheticSpec,
     generate,
@@ -51,8 +53,6 @@ from .tasks import (
     two_blob_fixture,
 )
 from .vector_quant import vector_concentration
-
-_BOUNDED_SCHEMES = ("correlated-1bit", "correlated-klevel")
 
 
 def _experiment_args(sub: argparse.ArgumentParser) -> None:
@@ -121,8 +121,8 @@ def build_parser() -> tuple[
 
     chk = command("bounds-check", "verify the error ceiling on one run")
     _experiment_args(chk)
-    chk.add_argument("--scheme", choices=_BOUNDED_SCHEMES,
-                     default="correlated-1bit")
+    chk.add_argument("--scheme", default="correlated-1bit",
+                     choices=[s.name for s in SCHEME_TABLE.values() if s.bounded])
     chk.add_argument("--stderr-slack", type=float, default=4.0,
                      help="allowed overshoot in standard errors")
 
@@ -169,29 +169,41 @@ def _apply_config(
     parser: argparse.ArgumentParser,
     table: dict[str, argparse.ArgumentParser],
     argv: list[str],
-) -> None:
+) -> list[str]:
+    """argv with the --config values inserted as flags right after the
+    command, so argparse checks their types and choices exactly as it
+    checks flags, and explicit flags (later on the line) win."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     found, _ = probe.parse_known_args(argv)
-    if not found.config:
-        return
-    if not argv or argv[0] not in table:
-        return
-    sub = table[argv[0]]
+    if not found.config or not argv or argv[0] not in table:
+        return argv
     try:
         config = json.loads(Path(found.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"--config {found.config}: {exc}")
     if not isinstance(config, dict):
         parser.error(f"--config {found.config}: expected a JSON object")
-    known = {action.dest for action in sub._actions}
-    for key in config:
-        if key not in known:
+    actions = {a.dest: a for a in table[argv[0]]._actions if a.option_strings}
+    flags = []
+    for key, value in config.items():
+        if key not in actions:
             parser.error(
                 f"--config {found.config}: {key!r} is not an option of "
                 f"{argv[0]!r}"
             )
-    sub.set_defaults(**config)
+        action = actions[key]
+        flag = action.option_strings[-1]
+        if action.nargs == 0:  # on/off switches
+            if not isinstance(value, bool):
+                parser.error(f"--config {found.config}: {key!r} takes true or false")
+            if value:
+                flags.append(flag)
+        elif isinstance(value, list) and action.nargs in ("+", "*"):
+            flags += [flag, *map(str, value)]
+        elif value is not None:
+            flags.append(f"{flag}={value}")
+    return argv[:1] + flags + argv[1:]
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -367,8 +379,7 @@ _RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, table = build_parser()
-    _apply_config(parser, table, argv)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_apply_config(parser, table, argv))
     try:
         return _RUNNERS[args.command](args)
     except DivergenceError as exc:

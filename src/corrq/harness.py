@@ -1,7 +1,9 @@
 """Monte-Carlo simulator for distributed mean estimation.
 
+Every scheme is one Scheme record in SCHEME_TABLE, run by one engine.
 run_dme plays a full round per trial: every client quantizes its value
-(or vector), the indices cross the wire, the server decodes and averages.
+(or vector), the indices cross the wire, the server decodes and averages;
+run_round is the same engine at one trial, the tasks' aggregation round.
 The per-trial randomness comes from counter-based sub-seeds, so trials
 are independent work units and the reported numbers do not depend on the
 internal chunk size. For the first bit_trials trials each client message
@@ -31,12 +33,13 @@ from .randomness import (
     derive_key,
     fnv1a64,
     mix64,
+    rotation_signs,
     stream_uniform,
 )
 from .scalar_quant import ScalarBatch, concentration_stats, uniform_grid_cells
 from .vector_quant import (
     VectorBatch,
-    append_scale_tail,
+    client_payload,
     cq_decode,
     cq_encode,
     fwht,
@@ -47,20 +50,52 @@ from .vector_quant import (
     vector_concentration,
 )
 
-SCHEMES = (
-    "correlated-1bit",
-    "correlated-klevel",
-    "entropy-cq",
-    "hadamard-cq",
-    "independent",
-    "independent-rotation",
-    "terngrad",
-    "rotate-sign",
-)
 
-_SCALAR_OK = frozenset({"correlated-1bit", "correlated-klevel", "independent"})
-_ROTATED = frozenset({"hadamard-cq", "independent-rotation", "rotate-sign"})
-_CORRELATED = frozenset({"correlated-1bit", "correlated-klevel", "entropy-cq"})
+class Scheme(NamedTuple):
+    """What the engine, the wire audit, the tasks and the CLI know of a scheme.
+
+    rule is the quantizer: "correlated" (shared permutations, offsets and
+    level grid), "stochastic" (private rounding on the uniform k-level
+    grid), "ternary" (private rounding to {-s_i, 0, +s_i}) or "sign"
+    (sign bits and the l1 scale). A rotated scheme runs it inside the
+    shared randomized Hadamard rotation, on the padded dimension.
+    """
+
+    name: str
+    rule: str
+    rotated: bool = False
+    scalar_ok: bool = False     # defined for ScalarBatch inputs
+    levels: int | None = None   # fixed wire alphabet; None sends the run's k
+    gamma: bool = False         # zig-zag + Elias-gamma indices, else fixed width
+    scale_tail: bool = False    # a float64 per-client scale follows the indices
+    bounded: bool = False       # has a guaranteed error ceiling (bounds-check)
+
+    def wire_levels(self, k: int) -> int:
+        return k if self.levels is None else self.levels
+
+    @property
+    def randomness(self) -> str:
+        """What one round reads: the whole shared "context" (permutations,
+        offsets, level grid and rotation signs), the rotation "signs"
+        only, or the counter-based "private" rounding stream (plus the
+        signs when rotated)."""
+        return {"correlated": "context", "sign": "signs"}.get(self.rule, "private")
+
+
+SCHEME_TABLE = {
+    s.name: s
+    for s in (
+        Scheme("correlated-1bit", "correlated", scalar_ok=True, levels=2, bounded=True),
+        Scheme("correlated-klevel", "correlated", scalar_ok=True, bounded=True),
+        Scheme("entropy-cq", "correlated", gamma=True),
+        Scheme("hadamard-cq", "correlated", rotated=True),
+        Scheme("independent", "stochastic", scalar_ok=True),
+        Scheme("independent-rotation", "stochastic", rotated=True),
+        Scheme("terngrad", "ternary", levels=3, scale_tail=True),
+        Scheme("rotate-sign", "sign", rotated=True, levels=2, scale_tail=True),
+    )
+}
+SCHEMES = tuple(SCHEME_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +186,9 @@ class SyntheticSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
+        for name in ("sigma_md", "sparsity", "magnitude", "upper"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 def generate(spec: SyntheticSpec, seed: int) -> ScalarBatch | VectorBatch:
@@ -360,71 +398,68 @@ def reports_to_csv(reports: Sequence[TrialReport]) -> str:
 class _Prepared(NamedTuple):
     """Per-run constants hoisted out of the trial loop."""
 
-    scalar: bool
+    scheme: Scheme
     n: int
     d: int          # data dimension (1 for scalar batches)
     dp: int         # payload dimension (padded for rotated schemes)
     k: int          # levels on the wire
-    lower: float
+    lower: float    # unrotated values decode to lower + width * value
     width: float
-    true_mean: np.ndarray
     y_dn: np.ndarray | None = None       # normalized data, (d, n)
+    grid: tuple | None = None            # uniform-grid (cells, frac) of y_dn
     x_pad: np.ndarray | None = None      # zero-padded vectors, (n, dp)
     scale: float = 0.0                   # rotation scale factor
-    ind_cells: np.ndarray | None = None  # uniform-grid cells, fixed data
-    ind_frac: np.ndarray | None = None
     tern_prob: np.ndarray | None = None  # (d, n)
     tern_sign: np.ndarray | None = None  # (d, n)
     tern_scales: np.ndarray | None = None  # (n,)
 
+    def estimates(self, values: np.ndarray) -> np.ndarray:
+        """The server's mean (C, d) of each trial's decoded values."""
+        if self.scheme.rotated:
+            return values[..., : self.d].mean(axis=1)
+        return self.lower + self.width * values.mean(axis=-1)
 
-def _wire_levels(scheme: str, k: int) -> int:
-    if scheme in ("correlated-1bit", "rotate-sign"):
-        return 2
-    if scheme == "terngrad":
-        return 3
-    return k
+    def per_client(self, values: np.ndarray) -> np.ndarray:
+        """The first trial's decoded client vectors, a C-contiguous (n, d)
+        array (a mean over a transposed view would sum in another order)."""
+        if self.scheme.rotated:
+            return np.ascontiguousarray(values[0, :, : self.d])
+        return np.ascontiguousarray((self.lower + self.width * values[0]).T)
 
 
 def _prepare(batch, scheme: str, k: int) -> _Prepared:
-    scalar = isinstance(batch, ScalarBatch)
-    if scalar:
+    spec = SCHEME_TABLE[scheme]
+    if k < 2:
+        raise ValueError("need k >= 2")
+    k = spec.wire_levels(k)
+    if isinstance(batch, ScalarBatch):
         n, d = batch.n, 1
         lower, width = batch.lower, batch.width
         values_nd = batch.values[:, None]
-        true_mean = np.array([batch.mean()])
     else:
         n, d = batch.n, batch.d
         lower, width = -batch.radius, 2.0 * batch.radius
         values_nd = batch.vectors
-        true_mean = batch.mean()
 
-    if scheme in _ROTATED:
+    if spec.rotated:
         m = next_pow2(d)
         x_pad = np.zeros((n, m))
         x_pad[:, :d] = values_nd
-        scale = rotation_scale(batch.radius, m, n) if scheme != "rotate-sign" else 0.0
-        return _Prepared(
-            scalar, n, d, m, k, lower, width, true_mean, x_pad=x_pad, scale=scale
-        )
-
-    y_dn = ((values_nd - lower) / width).T
-    if scheme == "independent":
-        cells, frac = uniform_grid_cells(y_dn * (k - 1), k)
-        return _Prepared(
-            scalar, n, d, d, k, lower, width, true_mean,
-            y_dn=y_dn, ind_cells=cells, ind_frac=frac,
-        )
-    if scheme == "terngrad":
+        scale = rotation_scale(batch.radius, m, n) if spec.rule != "sign" else 0.0
+        return _Prepared(spec, n, d, m, k, lower, width, x_pad=x_pad, scale=scale)
+    if spec.rule == "ternary":
+        # ternary values decode straight to data units: lower 0, width 1
         x_dn = values_nd.T
         scales = np.abs(x_dn).max(axis=0)
         safe = np.where(scales > 0, scales, 1.0)
         return _Prepared(
-            scalar, n, d, d, k, lower, width, true_mean,
+            spec, n, d, d, k, 0.0, 1.0,
             tern_prob=np.abs(x_dn) / safe, tern_sign=np.sign(x_dn),
             tern_scales=scales,
         )
-    return _Prepared(scalar, n, d, d, k, lower, width, true_mean, y_dn=y_dn)
+    y_dn = ((values_nd - lower) / width).T
+    grid = uniform_grid_cells(y_dn * (k - 1), k) if spec.rule == "stochastic" else None
+    return _Prepared(spec, n, d, d, k, lower, width, y_dn=y_dn, grid=grid)
 
 
 def _private_uniforms(seeds: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -435,99 +470,90 @@ def _private_uniforms(seeds: np.ndarray, d: int, n: int) -> np.ndarray:
     return stream_uniform(coord_keys[..., None], np.arange(n, dtype=np.uint64))
 
 
-def _evaluate_chunk(prep: _Prepared, scheme: str, seeds: np.ndarray):
-    """One chunk of trials; returns (estimates, indices, scales, clips).
-
-    estimates (C, d); indices (C, dp, n) as sent on the wire; scales
-    (C, n) for the schemes carrying a per-client float; clips counts
-    clipped coordinates in this chunk.
-    """
-    if scheme in _CORRELATED:
-        ctx = build_context_arrays(seeds, prep.n, prep.d, prep.k)
+def _quantize(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None):
+    """Wire indices and normalized decoded values for y in [0, 1] on the
+    (..., dp, n) layout; grid is y's uniform-grid split when precomputed."""
+    if ctx is not None:
         idx = cq_encode(
-            prep.y_dn, ctx.permutations, ctx.offset_units, ctx.grid_offsets, prep.k
+            y, ctx.permutations, ctx.offset_units, ctx.grid_offsets, prep.k
         )
-        vals = cq_decode(idx, ctx.grid_offsets, prep.k)
-        return prep.lower + prep.width * vals.mean(axis=-1), idx, None, 0
-    if scheme == "independent":
-        priv = _private_uniforms(seeds, prep.d, prep.n)
-        idx = prep.ind_cells + (priv < prep.ind_frac)
-        est = prep.lower + prep.width * (idx / (prep.k - 1)).mean(axis=-1)
-        return est, idx, None, 0
-    if scheme == "terngrad":
+        return idx, cq_decode(idx, ctx.grid_offsets, prep.k)
+    cells, frac = grid if grid is not None else uniform_grid_cells(
+        y * (prep.k - 1), prep.k
+    )
+    idx = cells + (_private_uniforms(seeds, prep.dp, prep.n) < frac)
+    return idx, idx / (prep.k - 1)
+
+
+def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
+    """One trial per seed, building only the randomness the scheme reads;
+    returns (values, indices, scales, clips).
+
+    values are the decoded client values: on the (C, d, n) layout for the
+    unrotated schemes (see _Prepared.estimates), in data units on the
+    (C, n, dp) layout for the rotated ones. indices (C, dp, n) are sent on
+    the wire, scales (C, n) ride in the scale tail, and clips counts the
+    coordinates clipped into [-1, 1].
+    """
+    spec = prep.scheme
+    ctx = None
+    if spec.randomness == "context":
+        ctx = build_context_arrays(seeds, prep.n, prep.dp, prep.k)
+    if spec.rule == "ternary":
         priv = _private_uniforms(seeds, prep.d, prep.n)
         trits = np.where(priv < prep.tern_prob, prep.tern_sign, 0.0)
-        est = (trits * prep.tern_scales).mean(axis=-1)
-        idx = (trits.astype(np.int64)) + 1
         scales = np.broadcast_to(prep.tern_scales, (len(seeds), prep.n))
-        return est, idx, scales, 0
+        return trits * prep.tern_scales, trits.astype(np.int64) + 1, scales, 0
+    if not spec.rotated:
+        idx, vals = _quantize(prep, seeds, ctx, prep.y_dn, prep.grid)
+        return vals, idx, None, 0
 
-    # rotated family: shared signs from the context, per-trial rotation
-    ctx = build_context_arrays(seeds, prep.n, prep.dp, prep.k)
+    # the rotated family: shared signs, rotate, quantize, un-rotate
+    signs = ctx.rotation_signs if ctx is not None else rotation_signs(seeds, prep.dp)
+    signs = signs[:, None, :]
     root = math.sqrt(prep.dp)
-    signs = ctx.rotation_signs[:, None, :]
     rotated = fwht(signs * prep.x_pad) / root
-    if scheme == "rotate-sign":
+    if spec.rule == "sign":
         bits, scales = sign_scale_kernel(rotated)
         values = scales[..., None] * (2.0 * bits - 1.0)
-        back = fwht(values) / root * signs
-        est = back[..., : prep.d].mean(axis=1)
-        return est, bits.transpose(0, 2, 1), scales, 0
+        return fwht(values) / root * signs, bits.transpose(0, 2, 1), scales, 0
     scaled = rotated * prep.scale
     clips = int(np.count_nonzero(np.abs(scaled) > 1.0))
-    y = (np.clip(scaled, -1.0, 1.0) + 1.0) / 2.0
-    if scheme == "hadamard-cq":
-        idx = cq_encode(
-            y.transpose(0, 2, 1),
-            ctx.permutations,
-            ctx.offset_units,
-            ctx.grid_offsets,
-            prep.k,
-        )
-        vals = -1.0 + 2.0 * cq_decode(idx, ctx.grid_offsets, prep.k)
-    else:
-        cells, frac = uniform_grid_cells(y.transpose(0, 2, 1) * (prep.k - 1), prep.k)
-        priv = _private_uniforms(seeds, prep.dp, prep.n)
-        idx = cells + (priv < frac)
-        vals = -1.0 + 2.0 * idx / (prep.k - 1)
-    z = vals.transpose(0, 2, 1) / prep.scale
-    back = fwht(z) / root * signs
-    est = back[..., : prep.d].mean(axis=1)
-    return est, idx, None, clips
+    y = ((np.clip(scaled, -1.0, 1.0) + 1.0) / 2.0).transpose(0, 2, 1)
+    idx, vals = _quantize(prep, seeds, ctx, y)
+    z = (-1.0 + 2.0 * vals).transpose(0, 2, 1) / prep.scale
+    return fwht(z) / root * signs, idx, None, clips
 
 
-def _client_payload(scheme: str, column: np.ndarray, k: int, scale) -> bc.BitStream:
-    if scheme == "entropy-cq":
-        return bc.elias_gamma_encode_many(bc.zigzag_encode(column, k))
-    body = bc.pack_fixed(column, k)
-    if scheme in ("terngrad", "rotate-sign"):
-        return append_scale_tail(body, scale)
-    return body
-
-
-def _decode_payload(scheme: str, payload: bc.BitStream, k: int):
-    if scheme == "entropy-cq":
+def _decode_payload(spec: Scheme, payload: bc.BitStream, k: int):
+    if spec.gamma:
         coded = np.asarray(bc.elias_gamma_decode(payload), dtype=np.int64)
         return bc.zigzag_decode(coded, k), None
-    if scheme in ("terngrad", "rotate-sign"):
+    if spec.scale_tail:
         body, scale = split_scale_tail(payload)
         return bc.unpack_fixed(body, k), scale
     return bc.unpack_fixed(payload, k), None
 
 
+def _trial_payloads(prep: _Prepared, indices: np.ndarray, scales):
+    """(payload, scale) of every client in one trial; indices (dp, n),
+    scales (n,) or None."""
+    for i in range(prep.n):
+        scale = None if scales is None else float(scales[i])
+        yield client_payload(indices[:, i], prep.k, prep.scheme.gamma, scale), scale
+
+
 def _audit_wire(
-    scheme: str,
     prep: _Prepared,
     audit: list[tuple[int, np.ndarray, np.ndarray | None]],
 ) -> float:
     """Serialize the audited trials for real; assert the wire round trip
     reproduces the engine's indices (and scales) exactly."""
+    scheme = prep.scheme.name
     total_bits = 0
     count = 0
     for trial_seed, idx, scales in audit:
-        for i in range(prep.n):
-            scale = None if scales is None else float(scales[i])
-            payload = _client_payload(scheme, idx[:, i], prep.k, scale)
+        for i, (payload, scale) in enumerate(_trial_payloads(prep, idx, scales)):
             msg = bc.WireMessage(
                 scheme=scheme, n=prep.n, d=prep.dp, k=prep.k,
                 seed=trial_seed, payload=payload,
@@ -535,7 +561,7 @@ def _audit_wire(
             back = bc.message_decode(bc.message_encode(msg))
             if back != msg:
                 raise RuntimeError(f"wire round trip altered a {scheme} message")
-            got_idx, got_scale = _decode_payload(scheme, back.payload, prep.k)
+            got_idx, got_scale = _decode_payload(prep.scheme, back.payload, prep.k)
             if not np.array_equal(got_idx, idx[:, i]):
                 raise RuntimeError(f"wire decode disagrees with engine for {scheme}")
             if scale is not None and got_scale != scale:
@@ -543,6 +569,21 @@ def _audit_wire(
             total_bits += msg.total_bits
             count += 1
     return total_bits / count
+
+
+def run_round(batch: VectorBatch, scheme: str, k: int, key: int):
+    """The engine at one trial keyed `key`: the server's decoding (n, d)
+    of every client's message, and the mean message size in bits (header
+    included) of the payloads the wire audit serializes."""
+    prep = _prepare(batch, scheme, k)
+    values, idx, scales, _ = _evaluate_chunk(prep, np.array([key], dtype=np.uint64))
+    bits = [
+        bc.HEADER_BITS + payload.length
+        for payload, _ in _trial_payloads(
+            prep, idx[0], None if scales is None else scales[0]
+        )
+    ]
+    return prep.per_client(values), float(np.mean(bits))
 
 
 def run_dme(
@@ -562,7 +603,7 @@ def run_dme(
     reports; chunk_elements trades memory for speed without changing any
     reported value.
     """
-    if scheme not in SCHEMES:
+    if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}")
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -571,17 +612,16 @@ def run_dme(
     else:
         batch = data
     if isinstance(batch, ScalarBatch):
-        if scheme not in _SCALAR_OK:
+        if not SCHEME_TABLE[scheme].scalar_ok:
             raise ValueError(f"{scheme} does not apply to scalar batches")
         realized_sigma = concentration_stats(batch).sigma_md
+        true_mean = np.array([batch.mean()])
     else:
         realized_sigma = vector_concentration(batch)
+        true_mean = batch.mean()
     if scheme == "correlated-1bit" and k != 2:
         raise ValueError("correlated-1bit fixes k = 2")
-    if k < 2:
-        raise ValueError("need k >= 2")
-    k_eff = _wire_levels(scheme, k)
-    prep = _prepare(batch, scheme, k_eff)
+    prep = _prepare(batch, scheme, k)
 
     audit_n = max(1, min(bit_trials, trials))
     per_trial = prep.n * prep.dp
@@ -595,9 +635,10 @@ def run_dme(
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
         seeds = child_keys(base_key, np.arange(lo, hi, dtype=np.uint64))
-        est, idx, scales, clips = _evaluate_chunk(prep, scheme, seeds)
+        values, idx, scales, clips = _evaluate_chunk(prep, seeds)
+        est = prep.estimates(values)
         clip_total += clips
-        err = est - prep.true_mean
+        err = est - true_mean
         sq_parts.append((err * err).sum(axis=-1))
         est_parts.append(est)
         for j in range(min(audit_n - lo, hi - lo)):
@@ -615,10 +656,11 @@ def run_dme(
     second = float((sq * sq).mean())
     stderr = math.sqrt(max(second - mse * mse, 0.0) / trials)
     mean_est = est_all.mean(axis=0)
-    bias = mean_est - prep.true_mean
+    bias = mean_est - true_mean
     bias_sq = float((bias * bias).sum())
-    mean_variance = float((est_all * est_all).sum() / trials - (mean_est * mean_est).sum())
-    bits = _audit_wire(scheme, prep, audit)
+    dev = est_all - mean_est
+    mean_variance = float((dev * dev).sum() / trials)
+    bits = _audit_wire(prep, audit)
     return TrialReport(
         scheme=scheme,
         n=prep.n,

@@ -163,11 +163,18 @@ def build_context_arrays(seeds: np.ndarray, n: int, d: int, k: int) -> ContextAr
     grid_key = mix64(root ^ _U64(fnv1a64("grid-offset")))
     grid_offsets = (stream_uniform(grid_key[..., None], coords) - 1.0) / k
 
-    sign_key = mix64(root ^ _U64(fnv1a64("rotation-sign")))
-    sign_bits = stream_u64(sign_key[..., None], coords) >> 63
-    rotation_signs = 1 - 2 * sign_bits.astype(np.int64)
+    return ContextArrays(
+        permutations, offset_units, grid_offsets, rotation_signs(seeds, d)
+    )
 
-    return ContextArrays(permutations, offset_units, grid_offsets, rotation_signs)
+
+def rotation_signs(seeds: np.ndarray, d: int) -> np.ndarray:
+    """The ``("rotation-sign",)`` stream alone: each seed's Rademacher
+    signs (..., d), for the schemes that read nothing else of a context."""
+    root = mix64(np.asarray(seeds, dtype=np.uint64))
+    sign_key = mix64(root ^ _U64(fnv1a64("rotation-sign")))
+    sign_bits = stream_u64(sign_key[..., None], np.arange(d, dtype=np.uint64)) >> 63
+    return 1 - 2 * sign_bits.astype(np.int64)
 
 
 @dataclass

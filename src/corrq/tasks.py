@@ -27,18 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from . import bitcodec as bc
-from .harness import SCHEMES
-from .randomness import build_context, derive_key
-from .vector_quant import (
-    VectorBatch,
-    correlated_vector_cq,
-    entropy_cq,
-    independent_vector_sq,
-    next_pow2,
-    rotate_sign_baseline,
-    ternary_quantize,
-    walsh_hadamard_cq,
-)
+from .harness import SCHEMES, run_round
+from .randomness import derive_key
+from .vector_quant import VectorBatch
 
 TASK_SCHEMES = ("none",) + SCHEMES
 
@@ -211,7 +202,7 @@ def quantized_round(
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
         raise ValueError("vectors must be (n_clients, dim)")
-    n, dim = vectors.shape
+    dim = vectors.shape[1]
     if scheme not in TASK_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "none":
@@ -223,38 +214,10 @@ def quantized_round(
     if bound == 0.0:
         zeros = np.zeros_like(vectors)
         return RoundResult(np.zeros(dim), zeros, float(bc.HEADER_BITS))
-    batch = VectorBatch(vectors, bound)
-
-    rotated = scheme in ("hadamard-cq", "independent-rotation", "rotate-sign")
-    ctx_d = next_pow2(dim) if rotated else dim
-    if scheme in ("correlated-1bit", "rotate-sign"):
-        ctx_k = 2
-    elif scheme == "terngrad":
-        ctx_k = 3
-    else:
-        ctx_k = k
-    ctx = build_context(derive_key(seed, "ctx"), n=n, d=ctx_d, k=ctx_k)
-    rng = np.random.default_rng(derive_key(seed, "private"))
-
-    if scheme == "correlated-1bit":
-        report = correlated_vector_cq(batch, ctx, k=2)
-    elif scheme == "correlated-klevel":
-        report = correlated_vector_cq(batch, ctx, k=k)
-    elif scheme == "entropy-cq":
-        report = entropy_cq(batch, ctx, k=k)
-    elif scheme == "hadamard-cq":
-        report = walsh_hadamard_cq(batch, ctx, k=k)
-    elif scheme == "independent":
-        report = independent_vector_sq(batch, k, rng=rng)
-    elif scheme == "independent-rotation":
-        report = independent_vector_sq(batch, k, rotate=True, rng=rng, ctx=ctx)
-    elif scheme == "terngrad":
-        report = ternary_quantize(batch, rng)
-    else:
-        report = rotate_sign_baseline(batch, ctx)
-    return RoundResult(
-        report.estimate, report.per_client, float(report.bits_per_client.mean())
+    per_client, bits = run_round(
+        VectorBatch(vectors, bound), scheme, k, derive_key(seed, "ctx")
     )
+    return RoundResult(per_client.mean(axis=0), per_client, bits)
 
 
 def _clip_rows(vectors: np.ndarray, radius: float) -> np.ndarray:
@@ -275,17 +238,15 @@ def kmeans_objective(points: np.ndarray, centers: np.ndarray) -> float:
 
 def _kmeans_pp_init(points: np.ndarray, centers: int, rng) -> np.ndarray:
     chosen = [points[rng.integers(points.shape[0])]]
+    d2 = ((points - chosen[0]) ** 2).sum(axis=1)  # to the nearest chosen center
     for _ in range(centers - 1):
-        d2 = np.min(
-            ((points[:, None, :] - np.array(chosen)[None, :, :]) ** 2).sum(axis=2),
-            axis=1,
-        )
         total = d2.sum()
         if total == 0:
             idx = rng.integers(points.shape[0])
         else:
             idx = rng.choice(points.shape[0], p=d2 / total)
         chosen.append(points[idx])
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
     return np.array(chosen)
 
 

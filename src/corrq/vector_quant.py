@@ -254,15 +254,31 @@ def _ctx_dn(ctx: RandomnessContext):
 # ---------------------------------------------------------------------------
 
 
+def client_payload(
+    indices: np.ndarray, k: int, gamma: bool = False, scale: float | None = None
+) -> bc.BitStream:
+    """One client's payload: its indices at ceil(log2 k) bits each (or
+    zig-zag plus Elias gamma), then the float64 scale tail if given."""
+    if gamma:
+        return bc.elias_gamma_encode_many(bc.zigzag_encode(indices, k))
+    body = bc.pack_fixed(indices, k)
+    return body if scale is None else append_scale_tail(body, scale)
+
+
 def _report(
     scheme: str,
     batch: VectorBatch,
     per_client: np.ndarray,
     indices_nd: np.ndarray,
-    payloads: list[bc.BitStream],
+    k: int,
+    gamma: bool = False,
     clip_events: int = 0,
     scales: np.ndarray | None = None,
 ) -> VectorQuantReport:
+    payloads = [
+        client_payload(row, k, gamma, None if scales is None else float(scales[i]))
+        for i, row in enumerate(indices_nd)
+    ]
     bits = np.array([bc.HEADER_BITS + p.length for p in payloads], dtype=np.int64)
     return VectorQuantReport(
         scheme=scheme,
@@ -275,16 +291,6 @@ def _report(
         sigma_d_md=vector_concentration(batch),
         scales=scales,
     )
-
-
-def _fixed_payloads(indices_nd: np.ndarray, k: int) -> list[bc.BitStream]:
-    return [bc.pack_fixed(row, k) for row in indices_nd]
-
-
-def _gamma_payloads(indices_nd: np.ndarray, k: int) -> list[bc.BitStream]:
-    return [
-        bc.elias_gamma_encode_many(bc.zigzag_encode(row, k)) for row in indices_nd
-    ]
 
 
 def append_scale_tail(stream: bc.BitStream, scale: float) -> bc.BitStream:
@@ -318,28 +324,44 @@ def _check_vector_ctx(batch: VectorBatch, ctx: RandomnessContext, d: int) -> Non
         raise ValueError(f"context carries d={ctx.d}, need {d}")
 
 
-def _correlated_core(batch: VectorBatch, ctx: RandomnessContext, k: int):
-    """Quantize every coordinate over [-R, R]; returns (indices_dn, values_dn)."""
+def _correlated_core(y: np.ndarray, ctx: RandomnessContext, k: int):
+    """Indices and normalized decoded values for y in [0, 1], (d, n)."""
+    if k != ctx.k:
+        raise ValueError(f"k={k} disagrees with context k={ctx.k}")
     perms, units, grids = _ctx_dn(ctx)
-    y = (batch.vectors.T + batch.radius) / (2 * batch.radius)
     indices = cq_encode(y, perms, units, grids, k)
-    values = -batch.radius + 2 * batch.radius * cq_decode(indices, grids, k)
-    return indices, values
+    return indices, cq_decode(indices, grids, k)
+
+
+def _coordinatewise(batch: VectorBatch, ctx: RandomnessContext, k: int):
+    """Quantize every coordinate over [-R, R]; returns (per_client,
+    indices), both (n, d)."""
+    _check_vector_ctx(batch, ctx, batch.d)
+    y = (batch.vectors.T + batch.radius) / (2 * batch.radius)
+    indices, unit = _correlated_core(y, ctx, k)
+    values = -batch.radius + 2 * batch.radius * unit
+    return values.T.copy(), indices.T
+
+
+def _rotate_into_unit(batch: VectorBatch, ctx: RandomnessContext):
+    """Rotate with the context's signs, scale into [-1, 1] and clip the
+    tail; returns (spec, scale, clipped, clip_events)."""
+    m = next_pow2(batch.d)
+    _check_vector_ctx(batch, ctx, m)
+    spec = rotation_for(ctx, batch.d)
+    scale = rotation_scale(batch.radius, m, batch.n)
+    rotated = hadamard_rotate(batch.vectors, spec) * scale
+    clip_events = int(np.count_nonzero(np.abs(rotated) > 1.0))
+    return spec, scale, np.clip(rotated, -1.0, 1.0), clip_events
 
 
 def correlated_vector_cq(
     batch: VectorBatch, ctx: RandomnessContext, k: int = 2
 ) -> VectorQuantReport:
     """Coordinate-wise correlated quantization, fixed-width index coding."""
-    _check_vector_ctx(batch, ctx, batch.d)
-    if k != ctx.k:
-        raise ValueError(f"k={k} disagrees with context k={ctx.k}")
-    indices, values = _correlated_core(batch, ctx, k)
-    indices_nd = indices.T
+    per_client, indices = _coordinatewise(batch, ctx, k)
     scheme = "correlated-1bit" if k == 2 else "correlated-klevel"
-    return _report(
-        scheme, batch, values.T.copy(), indices_nd, _fixed_payloads(indices_nd, k)
-    )
+    return _report(scheme, batch, per_client, indices, k)
 
 
 def entropy_cq(
@@ -353,14 +375,8 @@ def entropy_cq(
     coding spends close to one bit per coordinate plus a logarithmic
     penalty for the outliers.
     """
-    _check_vector_ctx(batch, ctx, batch.d)
-    if k != ctx.k:
-        raise ValueError(f"k={k} disagrees with context k={ctx.k}")
-    indices, values = _correlated_core(batch, ctx, k)
-    indices_nd = indices.T
-    return _report(
-        "entropy-cq", batch, values.T.copy(), indices_nd, _gamma_payloads(indices_nd, k)
-    )
+    per_client, indices = _coordinatewise(batch, ctx, k)
+    return _report("entropy-cq", batch, per_client, indices, k, gamma=True)
 
 
 def walsh_hadamard_cq(
@@ -373,30 +389,12 @@ def walsh_hadamard_cq(
     the far tail is clipped (the only bias source, vanishing at rate
     (mn)^-4). Fixed-width payloads over the padded dimension.
     """
-    m = next_pow2(batch.d)
-    _check_vector_ctx(batch, ctx, m)
-    if k != ctx.k:
-        raise ValueError(f"k={k} disagrees with context k={ctx.k}")
-    spec = rotation_for(ctx, batch.d)
-    scale = rotation_scale(batch.radius, m, batch.n)
-    rotated = hadamard_rotate(batch.vectors, spec) * scale
-    clip_events = int(np.count_nonzero(np.abs(rotated) > 1.0))
-    clipped = np.clip(rotated, -1.0, 1.0)
-
-    perms, units, grids = _ctx_dn(ctx)
-    y = (clipped.T + 1.0) / 2.0
-    indices = cq_encode(y, perms, units, grids, k)
-    values = -1.0 + 2.0 * cq_decode(indices, grids, k)
-
+    spec, scale, clipped, clip_events = _rotate_into_unit(batch, ctx)
+    indices, unit = _correlated_core((clipped.T + 1.0) / 2.0, ctx, k)
+    values = -1.0 + 2.0 * unit
     per_client = hadamard_rotate(values.T / scale, spec, inverse=True)
-    indices_nd = indices.T
     return _report(
-        "hadamard-cq",
-        batch,
-        per_client,
-        indices_nd,
-        _fixed_payloads(indices_nd, k),
-        clip_events=clip_events,
+        "hadamard-cq", batch, per_client, indices.T, k, clip_events=clip_events
     )
 
 
@@ -428,29 +426,17 @@ def independent_vector_sq(
         cell, frac = uniform_grid_cells(y, k)
         indices = cell + (rng.random(y.shape) < frac)
         per_client = -batch.radius + 2 * batch.radius * indices / (k - 1)
-        return _report(
-            "independent", batch, per_client, indices, _fixed_payloads(indices, k)
-        )
+        return _report("independent", batch, per_client, indices, k)
     if ctx is None:
         raise ValueError("rotated variant needs the shared rotation context")
-    m = next_pow2(batch.d)
-    _check_vector_ctx(batch, ctx, m)
-    spec = rotation_for(ctx, batch.d)
-    scale = rotation_scale(batch.radius, m, batch.n)
-    rotated = hadamard_rotate(batch.vectors, spec) * scale
-    clip_events = int(np.count_nonzero(np.abs(rotated) > 1.0))
-    clipped = np.clip(rotated, -1.0, 1.0)
+    spec, scale, clipped, clip_events = _rotate_into_unit(batch, ctx)
     y = (clipped + 1.0) / 2.0 * (k - 1)
     cell, frac = uniform_grid_cells(y, k)
     indices = cell + (rng.random(y.shape) < frac)
     values = -1.0 + 2.0 * indices / (k - 1)
     per_client = hadamard_rotate(values / scale, spec, inverse=True)
     return _report(
-        "independent-rotation",
-        batch,
-        per_client,
-        indices,
-        _fixed_payloads(indices, k),
+        "independent-rotation", batch, per_client, indices, k,
         clip_events=clip_events,
     )
 
@@ -471,13 +457,8 @@ def ternary_quantize(
     fire = rng.random(x.shape) < prob
     trits = (np.sign(x) * fire).astype(np.int64)
     per_client = trits * scales[:, None]
-    indices = trits + 1
-    payloads = [
-        append_scale_tail(bc.pack_fixed(row, 3), float(s))
-        for row, s in zip(indices, scales)
-    ]
     return _report(
-        "terngrad", batch, per_client.astype(np.float64), indices, payloads,
+        "terngrad", batch, per_client.astype(np.float64), trits + 1, 3,
         scales=scales,
     )
 
@@ -510,10 +491,4 @@ def rotate_sign_baseline(
     bits, scales = sign_scale_kernel(rotated)
     values = scales[:, None] * (2.0 * bits - 1.0)
     per_client = hadamard_rotate(values, spec, inverse=True)
-    payloads = [
-        append_scale_tail(bc.pack_fixed(row, 2), float(s))
-        for row, s in zip(bits, scales)
-    ]
-    return _report(
-        "rotate-sign", batch, per_client, bits, payloads, scales=scales
-    )
+    return _report("rotate-sign", batch, per_client, bits, 2, scales=scales)

@@ -80,6 +80,15 @@ class TestReaderWriter:
         with pytest.raises(bc.InvalidParameterError):
             w.write_uint(-1, 8)
 
+    def test_writer_range_check_at_wide_widths(self):
+        w = bc.BitWriter()
+        w.write_uint((1 << 64) - 1, 64)
+        with pytest.raises(bc.InvalidParameterError):
+            w.write_uint((1 << 64) + 5, 64)
+        with pytest.raises(bc.InvalidParameterError):
+            w.write_uint(1 << 70, 70)
+        assert w.getvalue().to_bitstring() == "1" * 64
+
 
 class TestGamma:
     def test_known_codewords(self):

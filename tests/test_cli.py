@@ -35,6 +35,15 @@ class TestDme:
         assert out == ""
         assert target.read_text().startswith("scheme,")
 
+    def test_non_finite_sigma_is_usage_error(self, capsys):
+        for value in ("nan", "inf"):
+            code, _, err = run(
+                capsys, "dme", "--n", "10", "--d", "4", "--trials", "5",
+                "--sigma-md", value,
+            )
+            assert code == 2
+            assert "sigma_md" in err
+
 
 class TestSweep:
     def test_grid_rows(self, capsys):
@@ -115,6 +124,26 @@ class TestConfigResolution:
             cli.main(["dme", "--config", str(config)])
         assert err.value.code == 2
         assert "trails" in capsys.readouterr().err
+
+    def test_config_value_of_the_wrong_type_is_usage_error(
+        self, capsys, tmp_path
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"trials": 5.5}))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["dme", "--config", str(config)])
+        assert err.value.code == 2
+        assert "trials" in capsys.readouterr().err
+
+    def test_config_value_outside_choices_is_usage_error(
+        self, capsys, tmp_path
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scheme": "terngrad"}))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bounds-check", "--config", str(config)])
+        assert err.value.code == 2
+        assert "scheme" in capsys.readouterr().err
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"

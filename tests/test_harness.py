@@ -129,7 +129,8 @@ class TestRunDme:
         for scheme, k in (("correlated-1bit", 2), ("correlated-klevel", 5)):
             prep = hz._prepare(batch, scheme, k)
             seeds = trial_seeds(202, 5)
-            est, idx, scales, clips = hz._evaluate_chunk(prep, scheme, seeds)
+            values, idx, _, _ = hz._evaluate_chunk(prep, seeds)
+            est = prep.estimates(values)
             for t in range(5):
                 ctx = build_context(int(seeds[t]), n=5, d=1, k=k)
                 op = (
@@ -151,7 +152,8 @@ class TestRunDme:
         for scheme, op in cases.items():
             prep = hz._prepare(batch, scheme, 4)
             seeds = trial_seeds(31, 3)
-            est, idx, scales, clips = hz._evaluate_chunk(prep, scheme, seeds)
+            values, idx, _, _ = hz._evaluate_chunk(prep, seeds)
+            est = prep.estimates(values)
             for t in range(3):
                 ctx = build_context(int(seeds[t]), n=6, d=prep.dp, k=4)
                 rep = op(batch, ctx)
@@ -180,6 +182,17 @@ class TestRunDme:
                 assert rep.bits_per_client == expected_bits[scheme], scheme
             else:
                 assert rep.bits_per_client > 216  # entropy-cq is variable
+
+    def test_exact_batches_have_zero_error_and_nonnegative_variance(self):
+        for n in (2, 4, 8, 100):
+            for s in range(n + 1):
+                batch = ScalarBatch(np.full(n, s / n), 0.0, 1.0)
+                rep = hz.run_dme(
+                    batch, "correlated-1bit", trials=1000,
+                    seed=derive_key(7, "exact", n, s), bit_trials=1,
+                )
+                assert rep.mse == 0.0, (n, s)
+                assert rep.mean_variance >= 0.0, (n, s, rep.mean_variance)
 
     def test_unbiased_schemes_have_tiny_bias(self):
         rng = np.random.default_rng(5)

@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 import corrq.tasks as tk
+import corrq.vector_quant as vq
+from corrq.randomness import (
+    build_context,
+    child_keys,
+    derive_key,
+    fnv1a64,
+    mix64,
+    stream_uniform,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +45,50 @@ class TestQuantizedRound:
         assert np.array_equal(r.estimate, r2.estimate)
         # the server estimate is exactly the mean of the decoded messages
         assert np.allclose(r.per_client.mean(axis=0), r.estimate)
+
+    @pytest.mark.parametrize("scheme", [
+        "correlated-1bit", "correlated-klevel", "entropy-cq", "hadamard-cq",
+        "rotate-sign",
+    ])
+    def test_round_matches_reference_op_bit_for_bit(self, scheme):
+        # the reference ops are an independent implementation; a round is
+        # the engine at one trial keyed by derive_key(seed, "ctx")
+        rng = np.random.default_rng(4)
+        vecs = rng.normal(size=(9, 13))
+        seed, k = 21, 4
+        r = tk.quantized_round(vecs, scheme, k, seed=seed)
+        batch = vq.VectorBatch.from_vectors(vecs)
+        rotated = scheme in ("hadamard-cq", "rotate-sign")
+        levels = 2 if scheme in ("correlated-1bit", "rotate-sign") else k
+        ctx = build_context(
+            derive_key(seed, "ctx"), n=9, d=16 if rotated else 13, k=levels
+        )
+        ref = {
+            "correlated-1bit": lambda: vq.correlated_vector_cq(batch, ctx, k=2),
+            "correlated-klevel": lambda: vq.correlated_vector_cq(batch, ctx, k=k),
+            "entropy-cq": lambda: vq.entropy_cq(batch, ctx, k=k),
+            "hadamard-cq": lambda: vq.walsh_hadamard_cq(batch, ctx, k=k),
+            "rotate-sign": lambda: vq.rotate_sign_baseline(batch, ctx),
+        }[scheme]()
+        assert r.per_client.tobytes() == ref.per_client.tobytes()
+        assert r.estimate.tobytes() == ref.estimate.tobytes()
+        assert r.bits_per_client == float(ref.bits_per_client.mean())
+
+    def test_private_rounding_is_the_counter_stream_of_the_round_key(self):
+        # no numpy generator: the round rebuilds from its seed alone, with
+        # the "private" stream of derive_key(seed, "ctx")
+        rng = np.random.default_rng(4)
+        vecs = rng.normal(size=(9, 13))
+        r = tk.quantized_round(vecs, "independent", 4, seed=5)
+        radius = np.linalg.norm(vecs, axis=1).max()
+        root = mix64(np.uint64(derive_key(5, "ctx")))
+        key = mix64(root ^ np.uint64(fnv1a64("private")))
+        coord_keys = child_keys(key, np.arange(13, dtype=np.uint64))
+        u = stream_uniform(coord_keys[:, None], np.arange(9, dtype=np.uint64))
+        y = (vecs + radius) / (2 * radius) * 3
+        cells = np.clip(np.floor(y), 0, 2)
+        idx = cells + (u.T < y - cells)
+        assert np.allclose(r.per_client, -radius + 2 * radius * idx / 3)
 
     def test_zero_round_sends_header_only(self):
         r = tk.quantized_round(np.zeros((5, 3)), "correlated-1bit", 2, seed=1)
