@@ -275,28 +275,45 @@ def fixed_width(k: int) -> int:
 
 def pack_fixed(indices: Sequence[int] | np.ndarray, k: int) -> BitStream:
     """Pack indices in [0, k) at ceil(log2 k) bits each, big-endian."""
+    return pack_fixed_rows(np.asarray(indices, dtype=np.int64).reshape(1, -1), k)[0]
+
+
+def pack_fixed_rows(indices: np.ndarray, k: int) -> list[BitStream]:
+    """pack_fixed of every row of a (rows, m) index array, in one pass."""
     width = fixed_width(k)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise InvalidParameterError(f"indices outside [0, {k})")
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = ((idx[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    return _pack_bit_array(bits)
+    bits = ((idx[..., None] >> shifts) & 1).astype(np.uint8).reshape(len(idx), -1)
+    length = bits.shape[1]
+    return [BitStream(row.tobytes(), length) for row in np.packbits(bits, axis=-1)]
 
 
 def unpack_fixed(stream: BitStream, k: int) -> np.ndarray:
     """Inverse of pack_fixed; the count is implied by the stream length."""
+    return unpack_fixed_rows([stream], k)[0]
+
+
+def unpack_fixed_rows(streams: Sequence[BitStream], k: int) -> np.ndarray:
+    """unpack_fixed of equal-length streams, as a (rows, m) array."""
     width = fixed_width(k)
-    if stream.length % width != 0:
+    length = streams[0].length
+    if any(s.length != length for s in streams):
+        raise LengthMismatchError("streams differ in length")
+    if length % width != 0:
         raise LengthMismatchError(
-            f"{stream.length} bits is not a multiple of width {width}"
+            f"{length} bits is not a multiple of width {width}"
         )
-    bits = stream.bits().reshape(-1, width).astype(np.int64)
+    data = np.frombuffer(b"".join(s.data for s in streams), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(len(streams), -1), axis=-1, count=length)
     weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
-    idx = bits @ weights
+    idx = bits.reshape(len(streams), -1, width).astype(np.int64) @ weights
     if idx.size and idx.max() >= k:
-        bad = int(np.argmax(idx >= k))
-        raise MalformedStreamError(f"index {int(idx[bad])} >= k={k}", bad * width)
+        row, col = np.argwhere(idx >= k)[0]
+        raise MalformedStreamError(
+            f"index {int(idx[row, col])} >= k={k}", int(col) * width
+        )
     return idx
 
 

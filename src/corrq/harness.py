@@ -39,7 +39,7 @@ from .randomness import (
 from .scalar_quant import ScalarBatch, concentration_stats, uniform_grid_cells
 from .vector_quant import (
     VectorBatch,
-    client_payload,
+    client_payloads,
     cq_decode,
     cq_encode,
     fwht,
@@ -525,22 +525,28 @@ def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
     return fwht(z) / root * signs, idx, None, clips
 
 
-def _decode_payload(spec: Scheme, payload: bc.BitStream, k: int):
+def _decode_payloads(spec: Scheme, payloads: list[bc.BitStream], k: int):
+    """Indices (n, dp) and scales (n,) or None of one trial's payloads."""
     if spec.gamma:
-        coded = np.asarray(bc.elias_gamma_decode(payload), dtype=np.int64)
-        return bc.zigzag_decode(coded, k), None
+        rows = [
+            bc.zigzag_decode(np.asarray(bc.elias_gamma_decode(p), dtype=np.int64), k)
+            for p in payloads
+        ]
+        if len({len(row) for row in rows}) != 1:
+            raise RuntimeError(f"wire decode disagrees with engine for {spec.name}")
+        return np.stack(rows), None
+    scales = None
     if spec.scale_tail:
-        body, scale = split_scale_tail(payload)
-        return bc.unpack_fixed(body, k), scale
-    return bc.unpack_fixed(payload, k), None
+        split = [split_scale_tail(p) for p in payloads]
+        payloads = [body for body, _ in split]
+        scales = np.array([scale for _, scale in split])
+    return bc.unpack_fixed_rows(payloads, k), scales
 
 
 def _trial_payloads(prep: _Prepared, indices: np.ndarray, scales):
-    """(payload, scale) of every client in one trial; indices (dp, n),
-    scales (n,) or None."""
-    for i in range(prep.n):
-        scale = None if scales is None else float(scales[i])
-        yield client_payload(indices[:, i], prep.k, prep.scheme.gamma, scale), scale
+    """Every client's payload in one trial; indices (dp, n), scales (n,)
+    or None."""
+    return client_payloads(indices.T, prep.k, prep.scheme.gamma, scales)
 
 
 def _audit_wire(
@@ -553,7 +559,8 @@ def _audit_wire(
     total_bits = 0
     count = 0
     for trial_seed, idx, scales in audit:
-        for i, (payload, scale) in enumerate(_trial_payloads(prep, idx, scales)):
+        received = []
+        for payload in _trial_payloads(prep, idx, scales):
             msg = bc.WireMessage(
                 scheme=scheme, n=prep.n, d=prep.dp, k=prep.k,
                 seed=trial_seed, payload=payload,
@@ -561,13 +568,14 @@ def _audit_wire(
             back = bc.message_decode(bc.message_encode(msg))
             if back != msg:
                 raise RuntimeError(f"wire round trip altered a {scheme} message")
-            got_idx, got_scale = _decode_payload(prep.scheme, back.payload, prep.k)
-            if not np.array_equal(got_idx, idx[:, i]):
-                raise RuntimeError(f"wire decode disagrees with engine for {scheme}")
-            if scale is not None and got_scale != scale:
-                raise RuntimeError(f"wire scale round trip failed for {scheme}")
+            received.append(back.payload)
             total_bits += msg.total_bits
-            count += 1
+        got_idx, got_scales = _decode_payloads(prep.scheme, received, prep.k)
+        if not np.array_equal(got_idx, idx.T):
+            raise RuntimeError(f"wire decode disagrees with engine for {scheme}")
+        if scales is not None and not np.array_equal(got_scales, scales):
+            raise RuntimeError(f"wire scale round trip failed for {scheme}")
+        count += len(received)
     return total_bits / count
 
 
@@ -579,7 +587,7 @@ def run_round(batch: VectorBatch, scheme: str, k: int, key: int):
     values, idx, scales, _ = _evaluate_chunk(prep, np.array([key], dtype=np.uint64))
     bits = [
         bc.HEADER_BITS + payload.length
-        for payload, _ in _trial_payloads(
+        for payload in _trial_payloads(
             prep, idx[0], None if scales is None else scales[0]
         )
     ]

@@ -31,8 +31,10 @@ of Steele, Lea and Flood's SplittableRandom). A *key* is a 64-bit integer.
 Streams used by :func:`build_context` (all children of the master seed):
 
 * ``("permutation", j)``    shared client permutation for coordinate j,
-  obtained by argsorting n stream values (an unbiased shuffle; ties have
-  probability ~ n^2 / 2**64 and would break by client index).
+  obtained by argsorting n stream values (an unbiased shuffle). The n
+  values of one stream never tie: the states key + (i + 1) * GOLDEN are
+  distinct for i < 2**64 because GOLDEN is odd, and mix64 is a bijection,
+  so every sort order gives the same permutation.
 * ``("client-offset", j)``  per-client sub-cell offsets for coordinate j,
   counter = client index. Growing n extends the stream without touching
   existing clients, and no other stream depends on n.
@@ -64,11 +66,18 @@ _U64 = np.uint64
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
-    z = np.asarray(x, dtype=np.uint64)
+    return _mix64_inplace(np.array(x, dtype=np.uint64))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 computed in z's own buffer; z must be a uint64 array."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> 30)) * _U64(_MUL1)
-        z = (z ^ (z >> 27)) * _U64(_MUL2)
-    return z ^ (z >> 31)
+        z ^= z >> 30
+        z *= _U64(_MUL1)
+        z ^= z >> 27
+        z *= _U64(_MUL2)
+        z ^= z >> 31
+    return z[()]
 
 
 def mix64_int(x: int) -> int:
@@ -115,12 +124,16 @@ def stream_u64(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
     ctr = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
         state = key_arr + (ctr + _U64(1)) * _U64(GOLDEN)
-    return mix64(state)
+    return _mix64_inplace(np.asarray(state))
 
 
 def stream_uniform(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Stream uniforms in [0, 1) with 53-bit resolution."""
-    return (stream_u64(key, counters) >> 11).astype(np.float64) * 2.0**-53
+    bits = stream_u64(key, counters)
+    bits >>= 11
+    out = bits.astype(np.float64)
+    out *= 2.0**-53
+    return out[()]
 
 
 class ContextArrays(NamedTuple):
@@ -153,7 +166,9 @@ def build_context_arrays(seeds: np.ndarray, n: int, d: int, k: int) -> ContextAr
         mix64(root ^ _U64(fnv1a64("permutation")))[..., None], coords
     )
     perm_raw = stream_u64(perm_keys[..., None], clients)
-    permutations = np.argsort(perm_raw, axis=-1, kind="stable")
+    # no ties within a row (see the module docstring), so the fast
+    # unstable sort gives the stable sort's permutation
+    permutations = np.argsort(perm_raw, axis=-1)
 
     offset_keys = child_keys(
         mix64(root ^ _U64(fnv1a64("client-offset")))[..., None], coords

@@ -254,15 +254,21 @@ def _ctx_dn(ctx: RandomnessContext):
 # ---------------------------------------------------------------------------
 
 
-def client_payload(
-    indices: np.ndarray, k: int, gamma: bool = False, scale: float | None = None
-) -> bc.BitStream:
-    """One client's payload: its indices at ceil(log2 k) bits each (or
-    zig-zag plus Elias gamma), then the float64 scale tail if given."""
+def client_payloads(
+    indices_nd: np.ndarray, k: int, gamma: bool = False, scales=None
+) -> list[bc.BitStream]:
+    """Each client's payload, one per row of indices_nd: its indices at
+    ceil(log2 k) bits each (or zig-zag plus Elias gamma), then its float64
+    scale tail when scales (one per row) are given."""
     if gamma:
-        return bc.elias_gamma_encode_many(bc.zigzag_encode(indices, k))
-    body = bc.pack_fixed(indices, k)
-    return body if scale is None else append_scale_tail(body, scale)
+        bodies = [
+            bc.elias_gamma_encode_many(bc.zigzag_encode(row, k)) for row in indices_nd
+        ]
+    else:
+        bodies = bc.pack_fixed_rows(indices_nd, k)
+    if scales is None:
+        return bodies
+    return [append_scale_tail(body, float(s)) for body, s in zip(bodies, scales)]
 
 
 def _report(
@@ -275,10 +281,7 @@ def _report(
     clip_events: int = 0,
     scales: np.ndarray | None = None,
 ) -> VectorQuantReport:
-    payloads = [
-        client_payload(row, k, gamma, None if scales is None else float(scales[i]))
-        for i, row in enumerate(indices_nd)
-    ]
+    payloads = client_payloads(indices_nd, k, gamma, scales)
     bits = np.array([bc.HEADER_BITS + p.length for p in payloads], dtype=np.int64)
     return VectorQuantReport(
         scheme=scheme,

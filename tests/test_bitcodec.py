@@ -155,6 +155,26 @@ class TestFixedWidth:
         with pytest.raises(bc.MalformedStreamError):
             bc.unpack_fixed(bad, 5)
 
+    def test_rows_match_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        for k, m in ((2, 1), (5, 7), (16, 33), (3, 0)):
+            idx = rng.integers(0, k, size=(6, m))
+            rows = bc.pack_fixed_rows(idx, k)
+            assert rows == [bc.pack_fixed(row, k) for row in idx]
+            assert np.array_equal(bc.unpack_fixed_rows(rows, k), idx)
+
+    def test_rows_reject_unequal_lengths(self):
+        rows = [bc.pack_fixed([1, 2], 4), bc.pack_fixed([1], 4)]
+        with pytest.raises(bc.LengthMismatchError):
+            bc.unpack_fixed_rows(rows, 4)
+
+    def test_rows_report_foreign_index_position(self):
+        rows = [bc.BitStream.from_bitstring("001010"),
+                bc.BitStream.from_bitstring("000111")]
+        with pytest.raises(bc.MalformedStreamError) as err:
+            bc.unpack_fixed_rows(rows, 5)
+        assert err.value.bit_offset == 3
+
 
 class TestZigzag:
     def test_center_first(self):

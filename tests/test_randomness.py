@@ -175,3 +175,18 @@ def test_context_properties_hold_for_any_seed(seed, n, d, k):
     assert (ctx.offset_units >= 0).all() and (ctx.offset_units < 1).all()
     assert (ctx.grid_offsets >= -1 / k).all() and (ctx.grid_offsets < 0).all()
     assert build_context(seed, n=n, d=d, k=k) == ctx
+
+
+def test_permutation_is_the_stable_argsort_of_its_stream():
+    # a stream row never ties, so the sort kind cannot change a permutation
+    seeds = child_keys(11, np.arange(20, dtype=np.uint64))
+    n, d = 300, 4
+    arrays = build_context_arrays(seeds, n=n, d=d, k=2)
+    root = mix64(seeds)
+    perm_key = mix64(root ^ np.uint64(fnv1a64("permutation")))
+    keys = child_keys(perm_key[:, None], np.arange(d, dtype=np.uint64))
+    raw = stream_u64(keys[..., None], np.arange(n, dtype=np.uint64))
+    assert all(len(np.unique(row)) == n for row in raw.reshape(-1, n))
+    assert np.array_equal(
+        arrays.permutations, np.argsort(raw, axis=-1, kind="stable")
+    )
