@@ -12,7 +12,6 @@ it together as the `corrq` command.
 """
 
 from .bitcodec import (
-    BitReader,
     BitStream,
     BitWriter,
     CodecError,
@@ -81,7 +80,6 @@ from .vector_quant import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitReader",
     "BitStream",
     "BitWriter",
     "CodecError",

@@ -46,6 +46,8 @@ SCHEME_BYTES = {
 SCHEME_NAMES = {v: k for k, v in SCHEME_BYTES.items()}
 
 _HEADER_STRUCT = struct.Struct("<4sBIIHQI")
+# header fields and their exclusive upper limits (u32, u32, u16, u64)
+HEADER_LIMITS = {"n": 1 << 32, "d": 1 << 32, "k": 1 << 16, "seed": 1 << 64}
 
 
 class CodecError(ValueError):
@@ -124,38 +126,6 @@ def _pack_bit_array(bits: np.ndarray) -> BitStream:
     return BitStream(data=np.packbits(bits).tobytes(), length=int(bits.size))
 
 
-class BitReader:
-    """Sequential MSB-first reader over a BitStream."""
-
-    def __init__(self, stream: BitStream):
-        self._bits = stream.bits()
-        self.pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return int(self._bits.size - self.pos)
-
-    def read_bit(self) -> int:
-        if self.pos >= self._bits.size:
-            raise MalformedStreamError("read past end of stream", self.pos)
-        b = int(self._bits[self.pos])
-        self.pos += 1
-        return b
-
-    def read_uint(self, width: int) -> int:
-        if width < 0:
-            raise InvalidParameterError(f"negative width {width}")
-        if self.pos + width > self._bits.size:
-            raise MalformedStreamError(
-                f"need {width} bits, stream exhausted", self.pos
-            )
-        value = 0
-        for b in self._bits[self.pos : self.pos + width]:
-            value = (value << 1) | int(b)
-        self.pos += width
-        return value
-
-
 class BitWriter:
     """Sequential MSB-first writer producing a BitStream."""
 
@@ -177,9 +147,6 @@ class BitWriter:
             bits[i] = value & 1
             value >>= 1
         self._chunks.append(bits)
-
-    def write_bits(self, bits: np.ndarray) -> None:
-        self._chunks.append(np.asarray(bits, dtype=np.uint8))
 
     def getvalue(self) -> BitStream:
         if not self._chunks:
@@ -233,31 +200,47 @@ def elias_gamma_decode(stream: BitStream) -> list[int]:
     """Decode a whole stream of gamma codes back to positive integers.
 
     Consumes every bit; truncated or dangling input raises
-    MalformedStreamError with the offending bit offset.
+    MalformedStreamError with the offending bit offset. A codeword that
+    starts at bit s has its leading one at lead(s), the first one at or
+    after s, and the next codeword starts at 2 lead(s) - s + 1. That jump
+    is computed for every bit at once; the chain of starts is walked
+    eight codewords per Python step and filled in by array gathers.
     """
-    bits = stream.bits().tolist()
-    total = len(bits)
-    out: list[int] = []
-    pos = 0
-    while pos < total:
-        zeros = 0
-        while pos < total and bits[pos] == 0:
-            zeros += 1
-            pos += 1
-        if pos >= total:
-            raise MalformedStreamError(
-                "zero run reaches end of stream", total - zeros
-            )
-        if pos + zeros + 1 > total:
-            raise MalformedStreamError(
-                "truncated gamma codeword", pos - zeros
-            )
-        value = 1
-        pos += 1
-        for _ in range(zeros):
-            value = (value << 1) | bits[pos]
-            pos += 1
-        out.append(value)
+    bits = stream.bits()
+    total = bits.size
+    if total == 0:
+        return []
+    pos = np.arange(total, dtype=np.int32 if total < 1 << 30 else np.int64)
+    lead = np.minimum.accumulate(np.where(bits == 1, pos, total)[::-1])[::-1]
+    # codeword ends; total (clean end) and total + 1 (malformed) are fixed points
+    ends = np.minimum(2 * lead - pos + 1, total + 1)
+    jump = np.concatenate([ends, np.array([total, total + 1], dtype=pos.dtype)])
+    far = jump
+    for _ in range(3):  # eight codewords ahead
+        far = far[far]
+    coarse = [0]
+    while coarse[-1] < total:
+        coarse.append(int(far[coarse[-1]]))
+    chain = [np.array(coarse[:-1])]
+    for _ in range(7):
+        chain.append(jump[chain[-1]])
+    starts = np.stack(chain, axis=1).ravel()
+    starts = starts[starts < total]
+    last = int(starts[-1])
+    if jump[last] > total:
+        if lead[last] == total:
+            raise MalformedStreamError("zero run reaches end of stream", last)
+        raise MalformedStreamError("truncated gamma codeword", last)
+    # read each codeword as a 64-bit window of the bytes at its leading one
+    leads = lead[starts]
+    widths = np.minimum(leads - starts + 1, 57)
+    data = np.frombuffer(stream.data + bytes(8), dtype=np.uint8)
+    words = data[(leads >> 3)[:, None] + np.arange(8)].view(">u8")[:, 0]
+    words = words.astype(np.uint64) << (leads & 7).astype(np.uint64)
+    out = (words >> (64 - widths).astype(np.uint64)).tolist()
+    for i in np.flatnonzero(leads - starts >= 57):  # values of 2**57 and up
+        first, end = int(leads[i]), int(2 * leads[i] - starts[i] + 1)
+        out[i] = int("".join(map(str, bits[first:end])), 2)
     return out
 
 
@@ -372,13 +355,10 @@ class WireMessage:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_BYTES:
             raise UnknownSchemeError(f"unknown scheme {self.scheme!r}")
-        for name, value, limit in (
-            ("n", self.n, 1 << 32),
-            ("d", self.d, 1 << 32),
-            ("k", self.k, 1 << 16),
-            ("seed", self.seed, 1 << 64),
+        for name, value in (
+            ("n", self.n), ("d", self.d), ("k", self.k), ("seed", self.seed)
         ):
-            if not 0 <= value < limit:
+            if not 0 <= value < HEADER_LIMITS[name]:
                 raise InvalidParameterError(f"{name}={value} out of range")
 
     @property

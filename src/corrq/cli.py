@@ -255,6 +255,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_bounds_check(args: argparse.Namespace) -> int:
+    if not 0 <= args.stderr_slack < float("inf"):
+        raise ValueError(
+            f"--stderr-slack must be finite and >= 0, got {args.stderr_slack}"
+        )
     batch = generate(_spec_from(args), derive_key(args.seed, "data"))
     report = run_dme(
         batch, args.scheme, args.trials, args.seed,

@@ -413,18 +413,25 @@ class _Prepared(NamedTuple):
     tern_sign: np.ndarray | None = None  # (d, n)
     tern_scales: np.ndarray | None = None  # (n,)
 
-    def estimates(self, values: np.ndarray) -> np.ndarray:
-        """The server's mean (C, d) of each trial's decoded values."""
+    def estimates(self, values: np.ndarray, signs=None) -> np.ndarray:
+        """The server's mean (C, d) of each trial's decoded values; the
+        rotated schemes un-rotate the clients' mean with the signs, not
+        every client (the decoders are linear)."""
         if self.scheme.rotated:
-            return values[..., : self.d].mean(axis=1)
+            return self._unrotate(values.mean(axis=1), signs)
         return self.lower + self.width * values.mean(axis=-1)
 
-    def per_client(self, values: np.ndarray) -> np.ndarray:
+    def per_client(self, values: np.ndarray, signs=None) -> np.ndarray:
         """The first trial's decoded client vectors, a C-contiguous (n, d)
         array (a mean over a transposed view would sum in another order)."""
         if self.scheme.rotated:
-            return np.ascontiguousarray(values[0, :, : self.d])
+            return np.ascontiguousarray(self._unrotate(values[0], signs[0]))
         return np.ascontiguousarray((self.lower + self.width * values[0]).T)
+
+    def _unrotate(self, z: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Data-unit vectors (..., d) of rotated-domain values (..., dp):
+        the inverse rotation D H / sqrt(dp), truncated to d."""
+        return (fwht(z) / math.sqrt(self.dp) * signs)[..., : self.d]
 
 
 def _prepare(batch, scheme: str, k: int) -> _Prepared:
@@ -440,9 +447,12 @@ def _prepare(batch, scheme: str, k: int) -> _Prepared:
         n, d = batch.n, batch.d
         lower, width = -batch.radius, 2.0 * batch.radius
         values_nd = batch.vectors
+    m = next_pow2(d) if spec.rotated else d
+    for name, value in (("n", n), ("d", m), ("k", k)):  # checked before any trial
+        if value >= bc.HEADER_LIMITS[name]:
+            raise ValueError(f"{name}={value} does not fit the wire header")
 
     if spec.rotated:
-        m = next_pow2(d)
         x_pad = np.zeros((n, m))
         x_pad[:, :d] = values_nd
         scale = rotation_scale(batch.radius, m, n) if spec.rule != "sign" else 0.0
@@ -487,13 +497,14 @@ def _quantize(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None):
 
 def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
     """One trial per seed, building only the randomness the scheme reads;
-    returns (values, indices, scales, clips).
+    returns (values, indices, scales, clips, signs).
 
-    values are the decoded client values: on the (C, d, n) layout for the
-    unrotated schemes (see _Prepared.estimates), in data units on the
-    (C, n, dp) layout for the rotated ones. indices (C, dp, n) are sent on
-    the wire, scales (C, n) ride in the scale tail, and clips counts the
-    coordinates clipped into [-1, 1].
+    values are the decoded client values: in data units on the (C, d, n)
+    layout for the unrotated schemes; on the (C, n, dp) layout in the
+    rotated domain for the rotated ones, which the signs (C, dp) un-rotate
+    (see _Prepared.estimates; signs is None otherwise). indices (C, dp, n)
+    are sent on the wire, scales (C, n) ride in the scale tail, and clips
+    counts the coordinates clipped into [-1, 1].
     """
     spec = prep.scheme
     ctx = None
@@ -503,26 +514,25 @@ def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
         priv = _private_uniforms(seeds, prep.d, prep.n)
         trits = np.where(priv < prep.tern_prob, prep.tern_sign, 0.0)
         scales = np.broadcast_to(prep.tern_scales, (len(seeds), prep.n))
-        return trits * prep.tern_scales, trits.astype(np.int64) + 1, scales, 0
+        return trits * prep.tern_scales, trits.astype(np.int64) + 1, scales, 0, None
     if not spec.rotated:
         idx, vals = _quantize(prep, seeds, ctx, prep.y_dn, prep.grid)
-        return vals, idx, None, 0
+        return vals, idx, None, 0, None
 
-    # the rotated family: shared signs, rotate, quantize, un-rotate
+    # the rotated family: shared signs, rotate, quantize; the server
+    # un-rotates (_Prepared.estimates)
     signs = ctx.rotation_signs if ctx is not None else rotation_signs(seeds, prep.dp)
-    signs = signs[:, None, :]
-    root = math.sqrt(prep.dp)
-    rotated = fwht(signs * prep.x_pad) / root
+    rotated = fwht(signs[:, None, :] * prep.x_pad) / math.sqrt(prep.dp)
     if spec.rule == "sign":
         bits, scales = sign_scale_kernel(rotated)
         values = scales[..., None] * (2.0 * bits - 1.0)
-        return fwht(values) / root * signs, bits.transpose(0, 2, 1), scales, 0
+        return values, bits.transpose(0, 2, 1), scales, 0, signs
     scaled = rotated * prep.scale
     clips = int(np.count_nonzero(np.abs(scaled) > 1.0))
     y = ((np.clip(scaled, -1.0, 1.0) + 1.0) / 2.0).transpose(0, 2, 1)
     idx, vals = _quantize(prep, seeds, ctx, y)
     z = (-1.0 + 2.0 * vals).transpose(0, 2, 1) / prep.scale
-    return fwht(z) / root * signs, idx, None, clips
+    return z, idx, None, clips, signs
 
 
 def _decode_payloads(spec: Scheme, payloads: list[bc.BitStream], k: int):
@@ -584,14 +594,16 @@ def run_round(batch: VectorBatch, scheme: str, k: int, key: int):
     of every client's message, and the mean message size in bits (header
     included) of the payloads the wire audit serializes."""
     prep = _prepare(batch, scheme, k)
-    values, idx, scales, _ = _evaluate_chunk(prep, np.array([key], dtype=np.uint64))
+    values, idx, scales, _, signs = _evaluate_chunk(
+        prep, np.array([key], dtype=np.uint64)
+    )
     bits = [
         bc.HEADER_BITS + payload.length
         for payload in _trial_payloads(
             prep, idx[0], None if scales is None else scales[0]
         )
     ]
-    return prep.per_client(values), float(np.mean(bits))
+    return prep.per_client(values, signs), float(np.mean(bits))
 
 
 def run_dme(
@@ -613,8 +625,8 @@ def run_dme(
     """
     if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    if trials < 1 or bit_trials < 1:
+        raise ValueError("need trials >= 1 and bit_trials >= 1")
     if isinstance(data, SyntheticSpec):
         batch = generate(data, derive_key(seed, "data"))
     else:
@@ -631,20 +643,20 @@ def run_dme(
         raise ValueError("correlated-1bit fixes k = 2")
     prep = _prepare(batch, scheme, k)
 
-    audit_n = max(1, min(bit_trials, trials))
+    audit_n = min(bit_trials, trials)
     per_trial = prep.n * prep.dp
-    chunk = max(1, chunk_elements // per_trial)
+    chunk_trials = max(1, chunk_elements // per_trial)
     base_key = np.uint64(derive_key(seed, "trial"))
 
     sq_parts: list[np.ndarray] = []
     est_parts: list[np.ndarray] = []
     audit: list[tuple[int, np.ndarray, np.ndarray | None]] = []
     clip_total = 0
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
+    for lo in range(0, trials, chunk_trials):
+        hi = min(lo + chunk_trials, trials)
         seeds = child_keys(base_key, np.arange(lo, hi, dtype=np.uint64))
-        values, idx, scales, clips = _evaluate_chunk(prep, seeds)
-        est = prep.estimates(values)
+        values, idx, scales, clips, signs = _evaluate_chunk(prep, seeds)
+        est = prep.estimates(values, signs)
         clip_total += clips
         err = est - true_mean
         sq_parts.append((err * err).sum(axis=-1))

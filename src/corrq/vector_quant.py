@@ -21,6 +21,7 @@ layouts (d, n).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -122,28 +123,41 @@ def next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
+@functools.lru_cache(maxsize=None)
+def _hadamard(f: int) -> np.ndarray:
+    """The f x f Sylvester-Hadamard matrix (read-only, shared by callers)."""
+    h = np.ones((1, 1))
+    while h.shape[0] < f:
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
 def fwht(x: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis.
 
     Sylvester (natural) ordering; the last axis length must be a power of
-    two. O(m log m) butterflies, vectorized over any leading axes.
+    two. H_m is the Kronecker product of H_f factors of at most 32 rows,
+    H_1024 = H_32 (x) H_32, so the transform is one small matmul per
+    factor on a reshaped view, O(m log m) work in all.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[-1]
-    if m & (m - 1):
+    if m < 1 or m & (m - 1):
         raise ValueError(f"last axis must be a power of two, got {m}")
-    lead = x.shape[:-1]
-    y = x.reshape(-1, m).copy()
-    h = 1
-    while h < m:
-        y = y.reshape(-1, m // (2 * h), 2, h)
-        top = y[:, :, 0, :] + y[:, :, 1, :]
-        bot = y[:, :, 0, :] - y[:, :, 1, :]
-        y[:, :, 0, :] = top
-        y[:, :, 1, :] = bot
-        y = y.reshape(-1, m)
-        h *= 2
-    return y.reshape(*lead, m)
+    if m == 1:
+        return x.copy()
+    bits = m.bit_length() - 1
+    y = x
+    right = m  # length of the axes after the current factor
+    for b in [5] * (bits // 5) + ([bits % 5] if bits % 5 else []):
+        f = 1 << b
+        right //= f
+        if right == 1:  # H_f is symmetric, so rows times H_f
+            y = y.reshape(-1, f) @ _hadamard(f)
+        else:
+            y = _hadamard(f) @ y.reshape(-1, f, right)
+    return y.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -298,21 +312,19 @@ def _report(
 
 def append_scale_tail(stream: bc.BitStream, scale: float) -> bc.BitStream:
     """Append a float64 scale (IEEE-754 bits, most significant byte first)."""
-    w = bc.BitWriter()
-    w.write_bits(stream.bits())
-    w.write_uint(int.from_bytes(struct.pack(">d", scale), "big"), 64)
-    return w.getvalue()
+    tail = np.unpackbits(np.frombuffer(struct.pack(">d", scale), dtype=np.uint8))
+    bits = np.concatenate([stream.bits(), tail])
+    return bc.BitStream(np.packbits(bits).tobytes(), bits.size)
 
 
 def split_scale_tail(stream: bc.BitStream) -> tuple[bc.BitStream, float]:
     """Inverse of the scale tail: payload minus 64 bits, and the scale."""
     if stream.length < 64:
         raise bc.MalformedStreamError("payload too short for scale tail", 0)
-    reader = bc.BitReader(stream)
-    reader.pos = stream.length - 64
-    raw = reader.read_uint(64)
-    scale = struct.unpack(">d", raw.to_bytes(8, "big"))[0]
-    return bc.BitStream.from_bits(stream.bits()[: stream.length - 64]), scale
+    bits = stream.bits()
+    head, tail = bits[:-64], bits[-64:]
+    scale = struct.unpack(">d", np.packbits(tail).tobytes())[0]
+    return bc.BitStream(np.packbits(head).tobytes(), head.size), scale
 
 
 # ---------------------------------------------------------------------------

@@ -59,19 +59,8 @@ class TestReaderWriter:
         w.write_bit(1)
         w.write_uint(777, 12)
         s = w.getvalue()
-        r = bc.BitReader(s)
-        assert r.read_uint(4) == 0b1011
-        assert r.read_bit() == 1
-        assert r.read_uint(12) == 777
-        assert r.remaining == 0
-
-    def test_reader_exhaustion(self):
-        r = bc.BitReader(bc.BitStream.from_bitstring("11"))
-        r.read_uint(2)
-        with pytest.raises(bc.MalformedStreamError):
-            r.read_bit()
-        with pytest.raises(bc.MalformedStreamError):
-            r.read_uint(1)
+        assert s.length == 17
+        assert s.to_bitstring() == "1011" + "1" + format(777, "012b")
 
     def test_writer_range_check(self):
         w = bc.BitWriter()
@@ -266,6 +255,39 @@ def _msg() -> bc.WireMessage:
         scheme="correlated-1bit", n=4, d=2, k=2, seed=99,
         payload=bc.BitStream.from_bitstring("1010"),
     )
+
+
+def gamma_decode_bit_by_bit(text: str):
+    """Reference decoder: one bit at a time; values, or ("error", offset)."""
+    out, pos = [], 0
+    while pos < len(text):
+        zeros = len(text[pos:]) - len(text[pos:].lstrip("0"))
+        if pos + zeros == len(text):
+            return ("error", pos)
+        if pos + 2 * zeros + 1 > len(text):
+            return ("error", pos)
+        out.append(int(text[pos + zeros : pos + 2 * zeros + 1], 2))
+        pos += 2 * zeros + 1
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01", max_size=120))
+def test_gamma_decode_matches_bit_by_bit_reference(text):
+    want = gamma_decode_bit_by_bit(text)
+    try:
+        got = bc.elias_gamma_decode(bc.BitStream.from_bitstring(text))
+    except bc.MalformedStreamError as err:
+        got = ("error", err.bit_offset)
+    assert got == want
+
+
+def test_gamma_decode_values_past_64_bits():
+    values = [2**56 - 1, 2**56, 2**57, 2**63 + 5, 2**200 + 1, 3]
+    stream = bc.BitStream.from_bits(
+        np.concatenate([bc.elias_gamma_encode(v).bits() for v in values])
+    )
+    assert bc.elias_gamma_decode(stream) == values
 
 
 @settings(max_examples=150, deadline=None)

@@ -45,6 +45,17 @@ class TestDme:
             assert "sigma_md" in err
 
 
+    @pytest.mark.parametrize("flag", ["--k=70000", "--bit-trials=0"])
+    def test_wire_limit_and_bit_trials_are_usage_errors(self, capsys, flag):
+        code, out, err = run(
+            capsys, "dme", "--scheme", "correlated-klevel", "--n", "10",
+            "--d", "4", "--trials", "5", flag,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
 class TestSweep:
     def test_grid_rows(self, capsys):
         code, out, _ = run(
@@ -86,14 +97,39 @@ class TestBoundsCheck:
         assert code == 0
         assert out.startswith("PASS")
 
-    def test_forced_failure_exits_one(self, capsys):
+    def test_forced_failure_exits_one(self, capsys, monkeypatch):
+        # a guaranteed ceiling never fails on its own; lower it below zero
+        monkeypatch.setattr(cli, "vector_envelope", lambda *args: -1.0)
         code, out, _ = run(
             capsys, "bounds-check", "--kind", "uniform-mean", "--n", "20",
             "--d", "8", "--k", "8", "--trials", "50",
-            "--scheme", "correlated-klevel", "--stderr-slack=-1e18",
+            "--scheme", "correlated-klevel", "--stderr-slack", "0",
         )
         assert code == 1
         assert out.startswith("FAIL")
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-5", "-1e18"])
+    def test_bad_slack_is_usage_error(self, capsys, slack):
+        code, out, err = run(
+            capsys, "bounds-check", "--kind", "lower-bound-1bit", "--n", "20",
+            "--sigma-md", "0.001", "--trials", "20", f"--stderr-slack={slack}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "stderr-slack" in err
+
+    @pytest.mark.parametrize("slack", [float("nan"), -5.0])
+    def test_bad_slack_from_config_is_usage_error(self, capsys, tmp_path, slack):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"stderr_slack": slack}))
+        code, out, err = run(
+            capsys, "bounds-check", "--config", str(config), "--kind",
+            "lower-bound-1bit", "--n", "20", "--sigma-md", "0.001",
+            "--trials", "20",
+        )
+        assert code == 2
+        assert out == ""
+        assert "stderr-slack" in err
 
     def test_vector_one_bit_has_no_ceiling(self, capsys):
         code, _, err = run(

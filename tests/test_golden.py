@@ -16,11 +16,11 @@ VECTOR_ROWS = {
     "correlated-1bit": "correlated-1bit,12,10,2,0.1370008162359371,40,0.20405953535151142,0.4517294935594879,0.008677150759198796,226.0,0.011917426057411518",
     "correlated-klevel": "correlated-klevel,12,10,4,0.1370008162359371,40,0.04303448441153084,0.2074475461689794,0.0006951600127236374,236.0,0.003316710471668166",
     "entropy-cq": "entropy-cq,12,10,4,0.1370008162359371,40,0.04303448441153084,0.2074475461689794,0.0006951600127236374,230.72222222222223,0.003316710471668166",
-    "hadamard-cq": "hadamard-cq,12,10,4,0.1370008162359371,40,0.08827075709436541,0.29710394998108897,0.001710849617021925,248.0,0.005640111891065667",
+    "hadamard-cq": "hadamard-cq,12,10,4,0.1370008162359371,40,0.08827075709436541,0.29710394998108897,0.0017108496170219268,248.0,0.0056401118910656784",
     "independent": "independent,12,10,4,0.1370008162359371,40,0.17740521519583036,0.42119498477051026,0.0037717934089239154,236.0,0.013879758682913614",
-    "independent-rotation": "independent-rotation,12,10,4,0.1370008162359371,40,0.631277725204498,0.7945298768482517,0.011200763493534695,248.0,0.033476527839010596",
+    "independent-rotation": "independent-rotation,12,10,4,0.1370008162359371,40,0.6312777252044979,0.7945298768482516,0.01120076349353472,248.0,0.03347652783901066",
     "terngrad": "terngrad,12,10,3,0.1370008162359371,40,0.1016774250151999,0.31886897781878987,0.0047462938858632096,300.0,0.008578479491106933",
-    "rotate-sign": "rotate-sign,12,10,2,0.1370008162359371,40,0.7218430795635883,0.8496134883366603,0.3580047234369632,296.0,0.04551039115183211",
+    "rotate-sign": "rotate-sign,12,10,2,0.1370008162359371,40,0.7218430795635883,0.8496134883366603,0.35800472343696343,296.0,0.045510391151832134",
 }
 
 SCALAR_ROW = "correlated-klevel,30,1,5,0.01675224133797159,500,0.00010531691661497682,0.010262403062391226,1.4783989260497088e-08,219.0,6.210974488893443e-06"

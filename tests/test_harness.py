@@ -1,7 +1,11 @@
 """Error measurement engine, bound formulas, and batch generators."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from corrq import harness as hz
 from corrq import scalar_quant as sq
@@ -129,8 +133,8 @@ class TestRunDme:
         for scheme, k in (("correlated-1bit", 2), ("correlated-klevel", 5)):
             prep = hz._prepare(batch, scheme, k)
             seeds = trial_seeds(202, 5)
-            values, idx, _, _ = hz._evaluate_chunk(prep, seeds)
-            est = prep.estimates(values)
+            values, idx, _, _, signs = hz._evaluate_chunk(prep, seeds)
+            est = prep.estimates(values, signs)
             for t in range(5):
                 ctx = build_context(int(seeds[t]), n=5, d=1, k=k)
                 op = (
@@ -152,13 +156,57 @@ class TestRunDme:
         for scheme, op in cases.items():
             prep = hz._prepare(batch, scheme, 4)
             seeds = trial_seeds(31, 3)
-            values, idx, _, _ = hz._evaluate_chunk(prep, seeds)
-            est = prep.estimates(values)
+            values, idx, _, _, signs = hz._evaluate_chunk(prep, seeds)
+            est = prep.estimates(values, signs)
             for t in range(3):
                 ctx = build_context(int(seeds[t]), n=6, d=prep.dp, k=4)
                 rep = op(batch, ctx)
                 assert np.array_equal(idx[t].T, rep.level_indices), scheme
                 assert np.allclose(est[t], rep.estimate, atol=1e-12), scheme
+
+    @pytest.mark.parametrize(
+        "scheme", ["hadamard-cq", "independent-rotation", "rotate-sign"]
+    )
+    def test_rotated_mean_is_unrotated_once(self, scheme):
+        # the server un-rotates the clients' mean; un-rotating every client
+        # with the dense Hadamard matrix and averaging gives the same
+        batch = VectorBatch.from_vectors(
+            np.random.default_rng(8).normal(size=(7, 13))
+        )
+        prep = hz._prepare(batch, scheme, 4)
+        values, _, _, _, signs = hz._evaluate_chunk(prep, trial_seeds(41, 5))
+        H = scipy.linalg.hadamard(prep.dp) / math.sqrt(prep.dp)
+        clients = (values @ H.T * signs[:, None, :])[..., :13]
+        est = prep.estimates(values, signs)
+        assert est.shape == (5, 13)
+        assert np.max(np.abs(est - clients.mean(axis=1))) <= 1e-12 * batch.radius
+        assert np.max(np.abs(prep.per_client(values, signs) - clients[0])) <= (
+            1e-12 * batch.radius
+        )
+
+    def test_wire_limits_are_checked_before_any_trial(self):
+        batch = VectorBatch.from_vectors(np.ones((3, 4)))
+        with pytest.raises(ValueError, match="k=65536"):
+            hz._prepare(batch, "correlated-klevel", 1 << 16)
+        with pytest.raises(ValueError, match="k=70000"):
+            hz.run_dme(batch, "entropy-cq", trials=5, seed=1, k=70000)
+        hz._prepare(batch, "correlated-klevel", (1 << 16) - 1)
+        # sizes past u32 only need their shape: a stand-in batch
+        for n, d, scheme in (
+            (1 << 32, 4, "correlated-klevel"),
+            (3, 1 << 32, "correlated-klevel"),
+            (3, (1 << 31) + 1, "hadamard-cq"),  # pads to 2^32
+        ):
+            fake = SimpleNamespace(n=n, d=d, radius=1.0, vectors=None)
+            with pytest.raises(ValueError, match="does not fit the wire header"):
+                hz._prepare(fake, scheme, 4)
+
+    def test_bit_trials_below_one_is_rejected(self):
+        batch = VectorBatch.from_vectors(np.ones((3, 4)))
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="bit_trials"):
+                hz.run_dme(batch, "correlated-klevel", trials=5, seed=1,
+                           k=4, bit_trials=bad)
 
     def test_error_decomposition_and_bits(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """Vector quantizers, the rotation pipeline, and payload formats."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ class TestRotation:
             H = scipy.linalg.hadamard(m).astype(float)
             X = rng.normal(size=(3, 5, m))
             assert np.allclose(vq.fwht(X), X @ H.T)
+
+    def test_fwht_matches_dense_sylvester_at_every_size(self):
+        # covers sizes that are not a whole number of 32-row factors
+        rng = np.random.default_rng(1)
+        for p in range(13):
+            m = 1 << p
+            H = scipy.linalg.hadamard(m).astype(float)
+            for shape in ((m,), (3, 5, m)):
+                X = rng.normal(size=shape)
+                err = np.max(np.abs(vq.fwht(X) - X @ H.T))
+                assert err < 1e-10, (shape, err)
 
     def test_fwht_requires_power_of_two(self):
         with pytest.raises(ValueError):
@@ -330,8 +342,6 @@ def test_scale_tail_format():
     assert head == stream
     assert scale == 0.5
     # IEEE big-endian float64 bits follow the head verbatim
-    import struct
-
     assert tailed.to_bitstring()[3:] == format(
         int.from_bytes(struct.pack(">d", 0.5), "big"), "064b"
     )
@@ -368,3 +378,21 @@ def test_correlated_vector_round_invariants(seed, n, d, k):
     w = 2 * b.radius
     step = w * ((k + 1) / (k * (k - 1)) if k > 2 else 1.0)
     assert np.abs(rep.per_client - b.vectors).max() <= step + 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.lists(st.integers(min_value=0, max_value=1), max_size=100),
+    scale=st.floats(allow_nan=False),
+)
+def test_scale_tail_is_the_head_then_the_float_bits(bits, scale):
+    stream = bc.BitStream.from_bits(bits)
+    tailed = vq.append_scale_tail(stream, scale)
+    float_bits = format(int.from_bytes(struct.pack(">d", scale), "big"), "064b")
+    assert tailed.to_bitstring() == stream.to_bitstring() + float_bits
+    head, back = vq.split_scale_tail(tailed)
+    assert head == stream
+    assert struct.pack(">d", back) == struct.pack(">d", scale)
+    if len(bits) < 64:
+        with pytest.raises(bc.MalformedStreamError):
+            vq.split_scale_tail(stream)
