@@ -13,7 +13,6 @@ it together as the `corrq` command.
 
 from .bitcodec import (
     BitStream,
-    BitWriter,
     CodecError,
     MalformedStreamError,
     WireMessage,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitStream",
-    "BitWriter",
     "CodecError",
     "MalformedStreamError",
     "OptimizerConfig",

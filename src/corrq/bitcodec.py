@@ -122,39 +122,6 @@ class BitStream:
         return cls.from_bits(int(c) for c in text)
 
 
-def _pack_bit_array(bits: np.ndarray) -> BitStream:
-    return BitStream(data=np.packbits(bits).tobytes(), length=int(bits.size))
-
-
-class BitWriter:
-    """Sequential MSB-first writer producing a BitStream."""
-
-    def __init__(self) -> None:
-        self._chunks: list[np.ndarray] = []
-
-    def write_bit(self, bit: int) -> None:
-        self.write_uint(bit, 1)
-
-    def write_uint(self, value: int, width: int) -> None:
-        if width < 0:
-            raise InvalidParameterError(f"negative width {width}")
-        if value < 0 or value >> width:
-            raise InvalidParameterError(
-                f"value {value} does not fit in {width} bits"
-            )
-        bits = np.zeros(width, dtype=np.uint8)
-        for i in range(width - 1, -1, -1):
-            bits[i] = value & 1
-            value >>= 1
-        self._chunks.append(bits)
-
-    def getvalue(self) -> BitStream:
-        if not self._chunks:
-            return BitStream(b"", 0)
-        allbits = np.concatenate(self._chunks)
-        return _pack_bit_array(allbits)
-
-
 # ---------------------------------------------------------------------------
 # Elias gamma
 # ---------------------------------------------------------------------------
@@ -165,35 +132,47 @@ def elias_gamma_encode(value: int) -> BitStream:
 
     A value v with b significant bits encodes as b-1 zeros followed by the
     b bits of v, equivalently v written MSB-first in width 2b-1. Examples:
-    1 -> "1", 2 -> "010", 5 -> "00101".
+    1 -> "1", 2 -> "010", 5 -> "00101". Exact for values of any size.
     """
     if value < 1:
         raise InvalidParameterError(f"gamma code needs value >= 1, got {value}")
-    b = int(value).bit_length()
-    w = BitWriter()
-    w.write_uint(value, 2 * b - 1)
-    return w.getvalue()
+    width = 2 * int(value).bit_length() - 1
+    size = (width + 7) // 8
+    return BitStream((int(value) << (8 * size - width)).to_bytes(size, "big"), width)
+
+
+_GAMMA_BLOCK = 1 << 16  # values per vectorized pass; bounds the index arrays
 
 
 def elias_gamma_encode_many(values: Sequence[int] | np.ndarray) -> BitStream:
-    """Concatenated gamma codes (vectorized)."""
+    """Concatenated gamma codes, vectorized over blocks of values."""
     v = np.asarray(values, dtype=np.int64)
     if v.size == 0:
         return BitStream(b"", 0)
     if v.min() < 1:
         raise InvalidParameterError("gamma code needs values >= 1")
+    blocks = [
+        _gamma_bits(v[i : i + _GAMMA_BLOCK]) for i in range(0, v.size, _GAMMA_BLOCK)
+    ]
+    bits = np.concatenate(blocks)
+    return BitStream(np.packbits(bits).tobytes(), bits.size)
+
+
+def _gamma_bits(v: np.ndarray) -> np.ndarray:
+    """The gamma codes of positive int64 values as one 0/1 uint8 array."""
     b = np.floor(np.log2(v)).astype(np.int64) + 1
-    # guard against float log rounding at powers of two
-    b = np.where((np.int64(1) << (b - 1)) > v, b - 1, b)
-    b = np.where((np.int64(1) << b) <= v, b + 1, b)
+    # guard against float log rounding near powers of two (shifting v, not
+    # 1, so that no shift overflows int64)
+    b = np.where((v >> (b - 1)) == 0, b - 1, b)
+    b = np.where((v >> b) > 0, b + 1, b)
     widths = 2 * b - 1
     ends = np.cumsum(widths)
-    starts = ends - widths
-    total = int(ends[-1])
     owner = np.repeat(np.arange(v.size), widths)
-    shift = (ends[owner] - 1) - np.arange(total)
-    bits = ((v[owner] >> shift) & 1).astype(np.uint8)
-    return _pack_bit_array(bits)
+    shift = (ends[owner] - 1) - np.arange(int(ends[-1]))
+    return ((v[owner] >> shift) & 1).astype(np.uint8)
+
+
+_DECODE_WINDOW = 1 << 21  # bits per vectorized pass; bounds the position arrays
 
 
 def elias_gamma_decode(stream: BitStream) -> list[int]:
@@ -203,45 +182,65 @@ def elias_gamma_decode(stream: BitStream) -> list[int]:
     MalformedStreamError with the offending bit offset. A codeword that
     starts at bit s has its leading one at lead(s), the first one at or
     after s, and the next codeword starts at 2 lead(s) - s + 1. That jump
-    is computed for every bit at once; the chain of starts is walked
-    eight codewords per Python step and filled in by array gathers.
+    is computed for every bit of a window at once; the chain of starts is
+    walked eight codewords per Python step and filled in by array
+    gathers. A window ends before the first codeword that crosses it (and
+    doubles when one codeword is longer than the whole window).
     """
     bits = stream.bits()
-    total = bits.size
-    if total == 0:
-        return []
-    pos = np.arange(total, dtype=np.int32 if total < 1 << 30 else np.int64)
-    lead = np.minimum.accumulate(np.where(bits == 1, pos, total)[::-1])[::-1]
-    # codeword ends; total (clean end) and total + 1 (malformed) are fixed points
-    ends = np.minimum(2 * lead - pos + 1, total + 1)
-    jump = np.concatenate([ends, np.array([total, total + 1], dtype=pos.dtype)])
+    data = np.frombuffer(stream.data + bytes(8), dtype=np.uint8)
+    out: list[int] = []
+    start, window = 0, _DECODE_WINDOW
+    while start < bits.size:
+        done = _decode_window(bits, data, start, min(bits.size, start + window), out)
+        if done == start:
+            window *= 2
+        start = done
+    return out
+
+
+def _decode_window(bits, data, start: int, stop: int, out: list[int]) -> int:
+    """Append the codewords from bit `start` that end by `stop` to out and
+    return where the next one starts; at the end of the stream a
+    codeword that does not end there raises."""
+    size = stop - start
+    pos = np.arange(size, dtype=np.int32 if size < 1 << 30 else np.int64)
+    lead = np.minimum.accumulate(np.where(bits[start:stop] == 1, pos, size)[::-1])[::-1]
+    # codeword ends; size (clean end) and size + 1 (overrun) are fixed points
+    ends = np.minimum(2 * lead - pos + 1, size + 1)
+    jump = np.concatenate([ends, np.array([size, size + 1], dtype=pos.dtype)])
     far = jump
     for _ in range(3):  # eight codewords ahead
         far = far[far]
     coarse = [0]
-    while coarse[-1] < total:
+    while coarse[-1] < size:
         coarse.append(int(far[coarse[-1]]))
     chain = [np.array(coarse[:-1])]
     for _ in range(7):
         chain.append(jump[chain[-1]])
     starts = np.stack(chain, axis=1).ravel()
-    starts = starts[starts < total]
+    starts = starts[starts < size]
     last = int(starts[-1])
-    if jump[last] > total:
-        if lead[last] == total:
-            raise MalformedStreamError("zero run reaches end of stream", last)
-        raise MalformedStreamError("truncated gamma codeword", last)
+    if jump[last] <= size:
+        last = size
+    elif stop < bits.size:  # the codeword at last continues past the window
+        starts = starts[:-1]
+    elif lead[last] == size:
+        raise MalformedStreamError("zero run reaches end of stream", start + last)
+    else:
+        raise MalformedStreamError("truncated gamma codeword", start + last)
     # read each codeword as a 64-bit window of the bytes at its leading one
-    leads = lead[starts]
+    leads = lead[starts].astype(np.int64) + start
+    starts = starts + start
     widths = np.minimum(leads - starts + 1, 57)
-    data = np.frombuffer(stream.data + bytes(8), dtype=np.uint8)
     words = data[(leads >> 3)[:, None] + np.arange(8)].view(">u8")[:, 0]
     words = words.astype(np.uint64) << (leads & 7).astype(np.uint64)
-    out = (words >> (64 - widths).astype(np.uint64)).tolist()
+    values = (words >> (64 - widths).astype(np.uint64)).tolist()
     for i in np.flatnonzero(leads - starts >= 57):  # values of 2**57 and up
         first, end = int(leads[i]), int(2 * leads[i] - starts[i] + 1)
-        out[i] = int("".join(map(str, bits[first:end])), 2)
-    return out
+        values[i] = int("".join(map(str, bits[first:end])), 2)
+    out.extend(values)
+    return start + last
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ run_dme plays a full round per trial: every client quantizes its value
 run_round is the same engine at one trial, the tasks' aggregation round.
 The per-trial randomness comes from counter-based sub-seeds, so trials
 are independent work units and the reported numbers do not depend on the
-internal chunk size. For the first bit_trials trials each client message
-is actually serialized through the wire format and decoded back; the run
-asserts the decoded indices match the simulation exactly and prices
-bits_per_client from those real messages (serializing millions of
-identical-cost messages would add nothing but time).
+internal chunk size. bits_per_client is priced exactly from every
+trial's level indices with a table of codeword lengths. For the first
+bit_trials trials each client message is also serialized through the
+wire format and decoded back; the run asserts the decoded indices match
+the simulation exactly and that every payload is as long as priced
+(serializing millions of messages would add nothing but time).
 
 Also here: the synthetic dataset generators, including the two-point and
 constant-grid families used by the lower-bound floor checks, the closed
@@ -28,6 +29,8 @@ import numpy as np
 
 from . import bitcodec as bc
 from .randomness import (
+    MASK64,
+    ContextArrays,
     child_keys,
     build_context_arrays,
     derive_key,
@@ -42,11 +45,12 @@ from .vector_quant import (
     client_payloads,
     cq_decode,
     cq_encode,
-    fwht,
     next_pow2,
+    rotate,
     rotation_scale,
     sign_scale_kernel,
     split_scale_tail,
+    unrotate,
     vector_concentration,
 )
 
@@ -418,20 +422,15 @@ class _Prepared(NamedTuple):
         rotated schemes un-rotate the clients' mean with the signs, not
         every client (the decoders are linear)."""
         if self.scheme.rotated:
-            return self._unrotate(values.mean(axis=1), signs)
+            return unrotate(values.mean(axis=1), signs, self.d)
         return self.lower + self.width * values.mean(axis=-1)
 
     def per_client(self, values: np.ndarray, signs=None) -> np.ndarray:
         """The first trial's decoded client vectors, a C-contiguous (n, d)
         array (a mean over a transposed view would sum in another order)."""
         if self.scheme.rotated:
-            return np.ascontiguousarray(self._unrotate(values[0], signs[0]))
+            return np.ascontiguousarray(unrotate(values[0], signs[0], self.d))
         return np.ascontiguousarray((self.lower + self.width * values[0]).T)
-
-    def _unrotate(self, z: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """Data-unit vectors (..., d) of rotated-domain values (..., dp):
-        the inverse rotation D H / sqrt(dp), truncated to d."""
-        return (fwht(z) / math.sqrt(self.dp) * signs)[..., : self.d]
 
 
 def _prepare(batch, scheme: str, k: int) -> _Prepared:
@@ -483,7 +482,7 @@ def _private_uniforms(seeds: np.ndarray, d: int, n: int) -> np.ndarray:
 def _quantize(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None):
     """Wire indices and normalized decoded values for y in [0, 1] on the
     (..., dp, n) layout; grid is y's uniform-grid split when precomputed."""
-    if ctx is not None:
+    if prep.scheme.rule == "correlated":
         idx = cq_encode(
             y, ctx.permutations, ctx.offset_units, ctx.grid_offsets, prep.k
         )
@@ -495,9 +494,12 @@ def _quantize(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None):
     return idx, idx / (prep.k - 1)
 
 
-def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
-    """One trial per seed, building only the randomness the scheme reads;
-    returns (values, indices, scales, clips, signs).
+def _evaluate_chunk(
+    prep: _Prepared, seeds: np.ndarray, ctx: ContextArrays | None = None
+):
+    """One trial per seed, building only the randomness the scheme reads
+    (ctx, when given, is the trials' shared randomness, read in place of
+    the seeds' own); returns (values, indices, scales, clips, signs).
 
     values are the decoded client values: in data units on the (C, d, n)
     layout for the unrotated schemes; on the (C, n, dp) layout in the
@@ -507,8 +509,7 @@ def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
     counts the coordinates clipped into [-1, 1].
     """
     spec = prep.scheme
-    ctx = None
-    if spec.randomness == "context":
+    if ctx is None and spec.randomness == "context":
         ctx = build_context_arrays(seeds, prep.n, prep.dp, prep.k)
     if spec.rule == "ternary":
         priv = _private_uniforms(seeds, prep.d, prep.n)
@@ -522,7 +523,7 @@ def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
     # the rotated family: shared signs, rotate, quantize; the server
     # un-rotates (_Prepared.estimates)
     signs = ctx.rotation_signs if ctx is not None else rotation_signs(seeds, prep.dp)
-    rotated = fwht(signs[:, None, :] * prep.x_pad) / math.sqrt(prep.dp)
+    rotated = rotate(prep.x_pad, signs[:, None, :])
     if spec.rule == "sign":
         bits, scales = sign_scale_kernel(rotated)
         values = scales[..., None] * (2.0 * bits - 1.0)
@@ -553,24 +554,32 @@ def _decode_payloads(spec: Scheme, payloads: list[bc.BitStream], k: int):
     return bc.unpack_fixed_rows(payloads, k), scales
 
 
-def _trial_payloads(prep: _Prepared, indices: np.ndarray, scales):
-    """Every client's payload in one trial; indices (dp, n), scales (n,)
-    or None."""
-    return client_payloads(indices.T, prep.k, prep.scheme.gamma, scales)
+def _code_lengths(prep: _Prepared) -> np.ndarray:
+    """Payload bits of each level index: the fixed width, or for the
+    gamma-coded schemes the 2 floor(log2 v) + 1 bits of its zig-zag
+    value v."""
+    if not prep.scheme.gamma:
+        return np.full(prep.k, bc.fixed_width(prep.k), dtype=np.int64)
+    _, bit_length = np.frexp(bc.zigzag_encode(np.arange(prep.k), prep.k))
+    return 2 * bit_length.astype(np.int64) - 1
 
 
 def _audit_wire(
     prep: _Prepared,
     audit: list[tuple[int, np.ndarray, np.ndarray | None]],
-) -> float:
+    lengths: np.ndarray,
+) -> None:
     """Serialize the audited trials for real; assert the wire round trip
-    reproduces the engine's indices (and scales) exactly."""
+    reproduces the engine's indices (and scales) exactly, and that every
+    payload is as long as run_dme prices it from the level indices."""
     scheme = prep.scheme.name
-    total_bits = 0
-    count = 0
+    tail = 64 if prep.scheme.scale_tail else 0
     for trial_seed, idx, scales in audit:
         received = []
-        for payload in _trial_payloads(prep, idx, scales):
+        payloads = client_payloads(idx.T, prep.k, prep.scheme.gamma, scales)
+        for payload, want in zip(payloads, lengths[idx].sum(axis=0) + tail):
+            if payload.length != want:
+                raise RuntimeError(f"a {scheme} payload differs from its price")
             msg = bc.WireMessage(
                 scheme=scheme, n=prep.n, d=prep.dp, k=prep.k,
                 seed=trial_seed, payload=payload,
@@ -579,31 +588,42 @@ def _audit_wire(
             if back != msg:
                 raise RuntimeError(f"wire round trip altered a {scheme} message")
             received.append(back.payload)
-            total_bits += msg.total_bits
         got_idx, got_scales = _decode_payloads(prep.scheme, received, prep.k)
         if not np.array_equal(got_idx, idx.T):
             raise RuntimeError(f"wire decode disagrees with engine for {scheme}")
         if scales is not None and not np.array_equal(got_scales, scales):
             raise RuntimeError(f"wire scale round trip failed for {scheme}")
-        count += len(received)
-    return total_bits / count
 
 
-def run_round(batch: VectorBatch, scheme: str, k: int, key: int):
-    """The engine at one trial keyed `key`: the server's decoding (n, d)
-    of every client's message, and the mean message size in bits (header
-    included) of the payloads the wire audit serializes."""
+class Round(NamedTuple):
+    """One trial of the engine, as the server receives it."""
+
+    per_client: np.ndarray          # decoded client values (n, d)
+    indices: np.ndarray             # transmitted level indices (n, dp)
+    payloads: list[bc.BitStream]
+    bits: np.ndarray                # wire header plus payload bits (n,)
+    scales: np.ndarray | None       # the scale tail's values (n,)
+    clips: int
+
+
+def run_round(
+    batch: ScalarBatch | VectorBatch, scheme: str, k: int, key: int,
+    ctx: ContextArrays | None = None,
+) -> Round:
+    """The engine at one trial keyed `key` (reduced mod 2**64), with
+    every client's payload as the wire audit serializes it. ctx, one
+    trial of ContextArrays (leading axis 1), replaces the shared
+    randomness the key would build; the reference ops pass a
+    RandomnessContext this way."""
     prep = _prepare(batch, scheme, k)
-    values, idx, scales, _, signs = _evaluate_chunk(
-        prep, np.array([key], dtype=np.uint64)
+    values, idx, scales, clips, signs = _evaluate_chunk(
+        prep, np.array([int(key) & MASK64], dtype=np.uint64), ctx
     )
-    bits = [
-        bc.HEADER_BITS + payload.length
-        for payload in _trial_payloads(
-            prep, idx[0], None if scales is None else scales[0]
-        )
-    ]
-    return prep.per_client(values, signs), float(np.mean(bits))
+    scales = None if scales is None else scales[0]
+    indices = idx[0].T
+    payloads = client_payloads(indices, prep.k, prep.scheme.gamma, scales)
+    bits = np.array([bc.HEADER_BITS + p.length for p in payloads], dtype=np.int64)
+    return Round(prep.per_client(values, signs), indices, payloads, bits, scales, clips)
 
 
 def run_dme(
@@ -644,6 +664,8 @@ def run_dme(
     prep = _prepare(batch, scheme, k)
 
     audit_n = min(bit_trials, trials)
+    lengths = _code_lengths(prep)
+    code_bits = 0  # payload bits of every trial, scale tails aside
     per_trial = prep.n * prep.dp
     chunk_trials = max(1, chunk_elements // per_trial)
     base_key = np.uint64(derive_key(seed, "trial"))
@@ -658,6 +680,10 @@ def run_dme(
         values, idx, scales, clips, signs = _evaluate_chunk(prep, seeds)
         est = prep.estimates(values, signs)
         clip_total += clips
+        if prep.scheme.gamma:
+            code_bits += int(np.bincount(idx.ravel(), minlength=prep.k) @ lengths)
+        else:
+            code_bits += idx.size * int(lengths[0])
         err = est - true_mean
         sq_parts.append((err * err).sum(axis=-1))
         est_parts.append(est)
@@ -680,7 +706,10 @@ def run_dme(
     bias_sq = float((bias * bias).sum())
     dev = est_all - mean_est
     mean_variance = float((dev * dev).sum() / trials)
-    bits = _audit_wire(prep, audit)
+    _audit_wire(prep, audit, lengths)
+    messages = trials * prep.n
+    tail = 64 if prep.scheme.scale_tail else 0
+    bits = (messages * (bc.HEADER_BITS + tail) + code_bits) / messages
     return TrialReport(
         scheme=scheme,
         n=prep.n,

@@ -200,7 +200,7 @@ class RandomnessContext:
     ------
     permutations : (d, n) int64
         permutations[j] is a uniformly random permutation of {0..n-1}.
-    offset_units : (n, d) float64 in [0, 1)
+    offset_units : (d, n) float64 in [0, 1)
         Client i's sub-cell offset for coordinate j in units of 1/n.
         The offset itself (gamma) is offset_units / n in [0, 1/n).
     grid_offsets : (d,) float64 in [-1/k, 0)
@@ -208,6 +208,7 @@ class RandomnessContext:
     rotation_signs : (d,) int64 in {-1, +1}
         Rademacher diagonal for the randomized Hadamard rotation.
 
+    The layouts are those of ContextArrays without the batch axes.
     Instances are value objects: arrays are read-only and equality
     compares parameters and array contents.
     """
@@ -224,29 +225,31 @@ class RandomnessContext:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RandomnessContext):
             return NotImplemented
-        return (
-            (self.seed, self.n, self.d, self.k)
-            == (other.seed, other.n, other.d, other.k)
-            and np.array_equal(self.permutations, other.permutations)
-            and np.array_equal(self.offset_units, other.offset_units)
-            and np.array_equal(self.grid_offsets, other.grid_offsets)
-            and np.array_equal(self.rotation_signs, other.rotation_signs)
-        )
+        return (self.seed, self.n, self.d, self.k) == (
+            other.seed, other.n, other.d, other.k
+        ) and all(map(np.array_equal, self.arrays(), other.arrays()))
 
     @property
     def offsets(self) -> np.ndarray:
-        """Per-client offsets gamma in [0, 1/n), shape (n, d)."""
+        """Per-client offsets gamma in [0, 1/n), shape (d, n)."""
         return self.offset_units / self.n
 
     def client_uniform(self, i: int, j: int = 0) -> float:
         """U_i(j) = (pi_j(i) + unit_i(j)) / n, uniform on [0, 1)."""
         return float(
-            (self.permutations[j, i] + self.offset_units[i, j]) / self.n
+            (self.permutations[j, i] + self.offset_units[j, i]) / self.n
         )
 
     def client_uniforms(self, j: int = 0) -> np.ndarray:
         """All n client uniforms for coordinate j."""
-        return (self.permutations[j] + self.offset_units[:, j]) / self.n
+        return (self.permutations[j] + self.offset_units[j]) / self.n
+
+    def arrays(self) -> ContextArrays:
+        """The context as one trial of the batched layout (leading axis 1)."""
+        return ContextArrays(
+            self.permutations[None], self.offset_units[None],
+            self.grid_offsets[None], self.rotation_signs[None],
+        )
 
 
 def build_context(seed: int, n: int, d: int = 1, k: int = 2) -> RandomnessContext:
@@ -263,20 +266,9 @@ def build_context(seed: int, n: int, d: int = 1, k: int = 2) -> RandomnessContex
         raise ValueError(f"need at least two levels, got k={k}")
     seed = int(seed) & MASK64
     arrays = build_context_arrays(np.uint64(seed), n, d, k)
-    permutations = arrays.permutations
-    offset_units = np.ascontiguousarray(np.swapaxes(arrays.offset_units, -1, -2))
-    for arr in (permutations, offset_units, arrays.grid_offsets, arrays.rotation_signs):
+    for arr in arrays:
         arr.flags.writeable = False
-    return RandomnessContext(
-        seed=seed,
-        n=n,
-        d=d,
-        k=k,
-        permutations=permutations,
-        offset_units=offset_units,
-        grid_offsets=arrays.grid_offsets,
-        rotation_signs=arrays.rotation_signs,
-    )
+    return RandomnessContext(seed, n, d, k, *arrays)
 
 
 def trial_seeds(seed: int, trials: int) -> np.ndarray:

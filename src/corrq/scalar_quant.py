@@ -9,18 +9,18 @@ independent stochastic quantizer is the classical baseline.
 
 All quantizer cores are shape-generic: inputs may carry arbitrary leading
 batch axes (the Monte Carlo harness prepends a trial axis), with clients on
-the last axis. The reference single-round ops below are the same kernels
-applied to one context.
+the last axis. The single-round ops at the end are one trial of the
+harness engine (harness.run_round), on one coordinate of a context.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .randomness import RandomnessContext
+from .randomness import ContextArrays, RandomnessContext
 
 
 @dataclass(frozen=True)
@@ -106,40 +106,6 @@ def level_spacing(k: int) -> float:
 
 
 @dataclass(frozen=True)
-class LevelGrid:
-    """Randomized level grid on the normalized range.
-
-    Levels are first_level + m * spacing for m in {0..k-1}, with
-    first_level in [-1/k, 0). The top level is always >= 1, so every
-    normalized value has a level strictly below it and one at or above it.
-    """
-
-    k: int
-    first_level: float
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got k={self.k}")
-        if not (-1.0 / self.k <= self.first_level < 0.0):
-            raise ValueError(
-                f"first_level {self.first_level} outside [-1/{self.k}, 0)"
-            )
-
-    @property
-    def spacing(self) -> float:
-        return level_spacing(self.k)
-
-    @property
-    def levels(self) -> np.ndarray:
-        return self.first_level + np.arange(self.k) * self.spacing
-
-
-def grid_for(ctx: RandomnessContext, coordinate: int = 0) -> LevelGrid:
-    """The grid drawn by a context for one coordinate."""
-    return LevelGrid(k=ctx.k, first_level=float(ctx.grid_offsets[coordinate]))
-
-
-@dataclass(frozen=True)
 class ScalarQuantOutput:
     """Per-client decoded values, their level indices, and the mean estimate."""
 
@@ -198,11 +164,28 @@ def uniform_grid_cells(y: np.ndarray, k: int):
 # ---------------------------------------------------------------------------
 
 
-def _check_ctx(batch: ScalarBatch, ctx: RandomnessContext, coordinate: int) -> None:
-    if batch.n != ctx.n:
-        raise ValueError(f"batch has {batch.n} clients, context has {ctx.n}")
-    if not 0 <= coordinate < ctx.d:
-        raise ValueError(f"coordinate {coordinate} outside context d={ctx.d}")
+def _engine_output(
+    scheme: str, batch: ScalarBatch, k: int, key: int = 0, ctx=None,
+    coordinate: int = 0,
+) -> ScalarQuantOutput:
+    """One round of `scheme` on the engine of harness.run_round, keyed by
+    `key` or reading one coordinate of the caller's shared context."""
+    from .harness import run_round  # harness imports this module
+
+    if ctx is not None:
+        if batch.n != ctx.n:
+            raise ValueError(f"batch has {batch.n} clients, context has {ctx.n}")
+        if not 0 <= coordinate < ctx.d:
+            raise ValueError(f"coordinate {coordinate} outside context d={ctx.d}")
+        j = slice(coordinate, coordinate + 1)
+        ctx = ContextArrays(*(a[:, j] for a in ctx.arrays()))
+    r = run_round(batch, scheme, k, key, ctx)
+    per_client = r.per_client[:, 0]
+    return ScalarQuantOutput(
+        per_client=per_client,
+        level_indices=r.indices[:, 0],
+        estimate=float(per_client.mean()),
+    )
 
 
 def one_bit_cq(
@@ -216,77 +199,36 @@ def one_bit_cq(
     replacement, so the aggregate error tracks the batch's mean absolute
     deviation.
     """
-    _check_ctx(batch, ctx, coordinate)
-    y = batch.normalized()
-    bits = correlated_bits(
-        y, ctx.permutations[coordinate], ctx.offset_units[:, coordinate]
-    )
-    indices = bits.astype(np.int64)
-    per_client = batch.lower + batch.width * indices
-    return ScalarQuantOutput(
-        per_client=per_client,
-        level_indices=indices,
-        estimate=float(per_client.mean()),
-    )
+    return _engine_output("correlated-1bit", batch, 2, ctx=ctx, coordinate=coordinate)
 
 
 def k_level_cq(
-    batch: ScalarBatch,
-    ctx: RandomnessContext,
-    grid: LevelGrid | None = None,
-    coordinate: int = 0,
+    batch: ScalarBatch, ctx: RandomnessContext, coordinate: int = 0
 ) -> ScalarQuantOutput:
-    """Correlated k-level quantizer on the randomized grid.
+    """Correlated k-level quantizer on the randomized grid, k = ctx.k.
 
     Client i locates the largest level c strictly below its normalized
     value, computes the cell fraction f, and sends the index of
     c + spacing * 1{U_i < f}. Unbiased for every k; the
     deviation-dependent error guarantee kicks in at k >= 3.
 
-    k = 2 delegates to the one-bit quantizer: the randomized two-level
-    grid spans 1.5x the range and is strictly dominated by the plain
-    one-bit rule, which uses the same single bit.
+    k = 2 is the one-bit quantizer: the randomized two-level grid spans
+    1.5x the range and is strictly dominated by the plain one-bit rule,
+    which uses the same single bit.
     """
-    _check_ctx(batch, ctx, coordinate)
-    if grid is None:
-        grid = grid_for(ctx, coordinate)
-    if grid.k == 2:
-        return one_bit_cq(batch, ctx, coordinate)
-    y = batch.normalized()
-    cell, frac = level_cells(y, grid.first_level, grid.k)
-    bits = correlated_bits(
-        frac, ctx.permutations[coordinate], ctx.offset_units[:, coordinate]
-    )
-    indices = cell + bits
-    per_client = batch.lower + batch.width * (
-        grid.first_level + indices * grid.spacing
-    )
-    return ScalarQuantOutput(
-        per_client=per_client,
-        level_indices=indices,
-        estimate=float(per_client.mean()),
+    return _engine_output(
+        "correlated-klevel", batch, ctx.k, ctx=ctx, coordinate=coordinate
     )
 
 
-def independent_sq(
-    batch: ScalarBatch, k: int, rng: np.random.Generator
-) -> ScalarQuantOutput:
+def independent_sq(batch: ScalarBatch, k: int, key: int) -> ScalarQuantOutput:
     """Independent stochastic quantizer on the uniform k-level grid.
 
     Each client rounds to one of the two enclosing grid points with
-    probability proportional to proximity, using private randomness.
-    Unbiased; aggregate MSE is bounded by (r-l)^2 / (4 n (k-1)^2)
-    regardless of how concentrated the batch is.
+    probability proportional to proximity, using private randomness: the
+    counter stream of the round key, as in
+    harness.run_round(batch, "independent", k, key). Unbiased; aggregate
+    MSE is bounded by (r-l)^2 / (4 n (k-1)^2) regardless of how
+    concentrated the batch is.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    y = batch.normalized() * (k - 1)
-    cell, frac = uniform_grid_cells(y, k)
-    u = rng.random(batch.n)
-    indices = cell + (u < frac)
-    per_client = batch.lower + batch.width * indices / (k - 1)
-    return ScalarQuantOutput(
-        per_client=per_client,
-        level_indices=indices,
-        estimate=float(per_client.mean()),
-    )
+    return _engine_output("independent", batch, k, key)

@@ -214,10 +214,8 @@ def quantized_round(
     if bound == 0.0:
         zeros = np.zeros_like(vectors)
         return RoundResult(np.zeros(dim), zeros, float(bc.HEADER_BITS))
-    per_client, bits = run_round(
-        VectorBatch(vectors, bound), scheme, k, derive_key(seed, "ctx")
-    )
-    return RoundResult(per_client.mean(axis=0), per_client, bits)
+    r = run_round(VectorBatch(vectors, bound), scheme, k, derive_key(seed, "ctx"))
+    return RoundResult(r.per_client.mean(axis=0), r.per_client, float(r.bits.mean()))
 
 
 def _clip_rows(vectors: np.ndarray, radius: float) -> np.ndarray:

@@ -16,7 +16,8 @@ message; the server averages decoded vectors. Three families live here:
 
 Quantizer cores are shape-generic over leading batch axes, matching
 scalar_quant; the coordinate axis comes before the client axis in kernel
-layouts (d, n).
+layouts (d, n). The single-round ops at the end are one trial of the
+harness engine (harness.run_round), the code run_dme and the tasks run.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ import numpy as np
 
 from . import bitcodec as bc
 from .randomness import RandomnessContext
-from .scalar_quant import (
-    correlated_bits,
-    level_cells,
-    level_spacing,
-    uniform_grid_cells,
-)
+from .scalar_quant import correlated_bits, level_cells, level_spacing
 
 
 @dataclass(frozen=True)
@@ -193,6 +189,16 @@ def rotation_for(ctx: RandomnessContext, dim: int) -> RotationSpec:
     return RotationSpec(dim=dim, padded_dim=m, signs=np.asarray(ctx.rotation_signs))
 
 
+def rotate(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """W x = H D x / sqrt(m) along the last axis, x already padded to m."""
+    return fwht(signs * x) / math.sqrt(x.shape[-1])
+
+
+def unrotate(z: np.ndarray, signs: np.ndarray, dim: int) -> np.ndarray:
+    """W^T z = D H z / sqrt(m) along the last axis, truncated to dim."""
+    return (fwht(z) / math.sqrt(z.shape[-1]) * signs)[..., :dim]
+
+
 def hadamard_rotate(
     vectors: np.ndarray, spec: RotationSpec, inverse: bool = False
 ) -> np.ndarray:
@@ -204,18 +210,16 @@ def hadamard_rotate(
     """
     v = np.asarray(vectors, dtype=np.float64)
     m = spec.padded_dim
-    root = math.sqrt(m)
     if inverse:
         if v.shape[-1] != m:
             raise ValueError(f"inverse rotation expects last axis {m}")
-        out = (fwht(v) / root) * spec.signs
-        return out[..., : spec.dim]
+        return unrotate(v, spec.signs, spec.dim)
     if v.shape[-1] != spec.dim:
         raise ValueError(f"forward rotation expects last axis {spec.dim}")
     if spec.dim < m:
         pad = np.zeros(v.shape[:-1] + (m - spec.dim,), dtype=np.float64)
         v = np.concatenate([v, pad], axis=-1)
-    return fwht(v * spec.signs) / root
+    return rotate(v, spec.signs)
 
 
 def rotation_scale(radius: float, padded_dim: int, n: int) -> float:
@@ -258,11 +262,6 @@ def cq_decode(indices, grid_offsets, k: int):
     return first + indices * level_spacing(k)
 
 
-def _ctx_dn(ctx: RandomnessContext):
-    """Context arrays in kernel layout: permutations and units as (d, n)."""
-    return ctx.permutations, ctx.offset_units.T, ctx.grid_offsets
-
-
 # ---------------------------------------------------------------------------
 # Payload builders
 # ---------------------------------------------------------------------------
@@ -285,31 +284,6 @@ def client_payloads(
     return [append_scale_tail(body, float(s)) for body, s in zip(bodies, scales)]
 
 
-def _report(
-    scheme: str,
-    batch: VectorBatch,
-    per_client: np.ndarray,
-    indices_nd: np.ndarray,
-    k: int,
-    gamma: bool = False,
-    clip_events: int = 0,
-    scales: np.ndarray | None = None,
-) -> VectorQuantReport:
-    payloads = client_payloads(indices_nd, k, gamma, scales)
-    bits = np.array([bc.HEADER_BITS + p.length for p in payloads], dtype=np.int64)
-    return VectorQuantReport(
-        scheme=scheme,
-        estimate=per_client.mean(axis=0),
-        per_client=per_client,
-        level_indices=indices_nd,
-        payloads=tuple(payloads),
-        bits_per_client=bits,
-        clip_events=clip_events,
-        sigma_d_md=vector_concentration(batch),
-        scales=scales,
-    )
-
-
 def append_scale_tail(stream: bc.BitStream, scale: float) -> bc.BitStream:
     """Append a float64 scale (IEEE-754 bits, most significant byte first)."""
     tail = np.unpackbits(np.frombuffer(struct.pack(">d", scale), dtype=np.uint8))
@@ -328,55 +302,49 @@ def split_scale_tail(stream: bc.BitStream) -> tuple[bc.BitStream, float]:
 
 
 # ---------------------------------------------------------------------------
-# Correlated coordinate-wise quantizers
+# Reference single-round ops: one trial of the harness engine
 # ---------------------------------------------------------------------------
 
 
-def _check_vector_ctx(batch: VectorBatch, ctx: RandomnessContext, d: int) -> None:
+def _check_vector_ctx(
+    batch: VectorBatch, ctx: RandomnessContext, d: int, k: int | None = None
+) -> None:
     if batch.n != ctx.n:
         raise ValueError(f"batch has {batch.n} clients, context has {ctx.n}")
     if ctx.d != d:
         raise ValueError(f"context carries d={ctx.d}, need {d}")
-
-
-def _correlated_core(y: np.ndarray, ctx: RandomnessContext, k: int):
-    """Indices and normalized decoded values for y in [0, 1], (d, n)."""
-    if k != ctx.k:
+    if k is not None and k != ctx.k:
         raise ValueError(f"k={k} disagrees with context k={ctx.k}")
-    perms, units, grids = _ctx_dn(ctx)
-    indices = cq_encode(y, perms, units, grids, k)
-    return indices, cq_decode(indices, grids, k)
 
 
-def _coordinatewise(batch: VectorBatch, ctx: RandomnessContext, k: int):
-    """Quantize every coordinate over [-R, R]; returns (per_client,
-    indices), both (n, d)."""
-    _check_vector_ctx(batch, ctx, batch.d)
-    y = (batch.vectors.T + batch.radius) / (2 * batch.radius)
-    indices, unit = _correlated_core(y, ctx, k)
-    values = -batch.radius + 2 * batch.radius * unit
-    return values.T.copy(), indices.T
+def _engine_report(
+    scheme: str, batch: VectorBatch, k: int, key: int = 0, ctx=None
+) -> VectorQuantReport:
+    """One round of `scheme` on the engine of harness.run_round, keyed by
+    `key` or reading the caller's shared context."""
+    from .harness import run_round  # harness imports this module
 
-
-def _rotate_into_unit(batch: VectorBatch, ctx: RandomnessContext):
-    """Rotate with the context's signs, scale into [-1, 1] and clip the
-    tail; returns (spec, scale, clipped, clip_events)."""
-    m = next_pow2(batch.d)
-    _check_vector_ctx(batch, ctx, m)
-    spec = rotation_for(ctx, batch.d)
-    scale = rotation_scale(batch.radius, m, batch.n)
-    rotated = hadamard_rotate(batch.vectors, spec) * scale
-    clip_events = int(np.count_nonzero(np.abs(rotated) > 1.0))
-    return spec, scale, np.clip(rotated, -1.0, 1.0), clip_events
+    r = run_round(batch, scheme, k, key, None if ctx is None else ctx.arrays())
+    return VectorQuantReport(
+        scheme=scheme,
+        estimate=r.per_client.mean(axis=0),
+        per_client=r.per_client,
+        level_indices=r.indices,
+        payloads=tuple(r.payloads),
+        bits_per_client=r.bits,
+        clip_events=r.clips,
+        sigma_d_md=vector_concentration(batch),
+        scales=r.scales,
+    )
 
 
 def correlated_vector_cq(
     batch: VectorBatch, ctx: RandomnessContext, k: int = 2
 ) -> VectorQuantReport:
     """Coordinate-wise correlated quantization, fixed-width index coding."""
-    per_client, indices = _coordinatewise(batch, ctx, k)
+    _check_vector_ctx(batch, ctx, batch.d, k)
     scheme = "correlated-1bit" if k == 2 else "correlated-klevel"
-    return _report(scheme, batch, per_client, indices, k)
+    return _engine_report(scheme, batch, k, ctx=ctx)
 
 
 def entropy_cq(
@@ -390,8 +358,8 @@ def entropy_cq(
     coding spends close to one bit per coordinate plus a logarithmic
     penalty for the outliers.
     """
-    per_client, indices = _coordinatewise(batch, ctx, k)
-    return _report("entropy-cq", batch, per_client, indices, k, gamma=True)
+    _check_vector_ctx(batch, ctx, batch.d, k)
+    return _engine_report("entropy-cq", batch, k, ctx=ctx)
 
 
 def walsh_hadamard_cq(
@@ -404,13 +372,8 @@ def walsh_hadamard_cq(
     the far tail is clipped (the only bias source, vanishing at rate
     (mn)^-4). Fixed-width payloads over the padded dimension.
     """
-    spec, scale, clipped, clip_events = _rotate_into_unit(batch, ctx)
-    indices, unit = _correlated_core((clipped.T + 1.0) / 2.0, ctx, k)
-    values = -1.0 + 2.0 * unit
-    per_client = hadamard_rotate(values.T / scale, spec, inverse=True)
-    return _report(
-        "hadamard-cq", batch, per_client, indices.T, k, clip_events=clip_events
-    )
+    _check_vector_ctx(batch, ctx, next_pow2(batch.d), k)
+    return _engine_report("hadamard-cq", batch, k, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -419,63 +382,29 @@ def walsh_hadamard_cq(
 
 
 def independent_vector_sq(
-    batch: VectorBatch,
-    k: int,
-    rotate: bool = False,
-    rng: np.random.Generator | None = None,
-    ctx: RandomnessContext | None = None,
+    batch: VectorBatch, k: int, rotate: bool = False, key: int = 0
 ) -> VectorQuantReport:
     """Independent stochastic quantization, optionally inside the rotation.
 
     Unrotated: each coordinate rounds on the uniform k-level grid over
-    [-R, R] with private randomness. Rotated: the shared rotation and
-    scale come from ctx (the server must undo them), the rounding stays
-    private, and the tail clips exactly as in the correlated pipeline.
+    [-R, R] with private randomness. Rotated: the rotation signs are
+    shared, the rounding stays private, and the tail clips exactly as in
+    the correlated pipeline. Both come from the round key, as in
+    harness.run_round(batch, scheme, k, key).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if not rotate:
-        y = (batch.vectors + batch.radius) / (2 * batch.radius) * (k - 1)
-        cell, frac = uniform_grid_cells(y, k)
-        indices = cell + (rng.random(y.shape) < frac)
-        per_client = -batch.radius + 2 * batch.radius * indices / (k - 1)
-        return _report("independent", batch, per_client, indices, k)
-    if ctx is None:
-        raise ValueError("rotated variant needs the shared rotation context")
-    spec, scale, clipped, clip_events = _rotate_into_unit(batch, ctx)
-    y = (clipped + 1.0) / 2.0 * (k - 1)
-    cell, frac = uniform_grid_cells(y, k)
-    indices = cell + (rng.random(y.shape) < frac)
-    values = -1.0 + 2.0 * indices / (k - 1)
-    per_client = hadamard_rotate(values / scale, spec, inverse=True)
-    return _report(
-        "independent-rotation", batch, per_client, indices, k,
-        clip_events=clip_events,
-    )
+    scheme = "independent-rotation" if rotate else "independent"
+    return _engine_report(scheme, batch, k, key)
 
 
-def ternary_quantize(
-    batch: VectorBatch, rng: np.random.Generator
-) -> VectorQuantReport:
+def ternary_quantize(batch: VectorBatch, key: int) -> VectorQuantReport:
     """Ternary baseline: coordinates snap to {-s_i, 0, +s_i}.
 
     s_i = max_j |x_i(j)|; a coordinate fires with probability |x|/s_i and
-    carries its sign. Unbiased. An all-zero client sends exact zeros. The
-    per-client scale rides along as a float64 payload tail.
+    carries its sign, drawn from the private stream of the round key.
+    Unbiased. An all-zero client sends exact zeros. The per-client scale
+    rides along as a float64 payload tail.
     """
-    x = batch.vectors
-    scales = np.abs(x).max(axis=1)
-    safe = np.where(scales > 0, scales, 1.0)
-    prob = np.abs(x) / safe[:, None]
-    fire = rng.random(x.shape) < prob
-    trits = (np.sign(x) * fire).astype(np.int64)
-    per_client = trits * scales[:, None]
-    return _report(
-        "terngrad", batch, per_client.astype(np.float64), trits + 1, 3,
-        scales=scales,
-    )
+    return _engine_report("terngrad", batch, 3, key)
 
 
 def sign_scale_kernel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,11 +428,5 @@ def rotate_sign_baseline(
     l1 scale, un-rotate. A stand-in for sign-based one-bit schemes; it is
     intentionally not a faithful reproduction of any published method.
     """
-    m = next_pow2(batch.d)
-    _check_vector_ctx(batch, ctx, m)
-    spec = rotation_for(ctx, batch.d)
-    rotated = hadamard_rotate(batch.vectors, spec)
-    bits, scales = sign_scale_kernel(rotated)
-    values = scales[:, None] * (2.0 * bits - 1.0)
-    per_client = hadamard_rotate(values, spec, inverse=True)
-    return _report("rotate-sign", batch, per_client, bits, 2, scales=scales)
+    _check_vector_ctx(batch, ctx, next_pow2(batch.d))
+    return _engine_report("rotate-sign", batch, 2, ctx=ctx)

@@ -1,5 +1,6 @@
 """Bitstream primitives, entropy codes, and the wire format."""
 
+import random
 import struct
 
 import numpy as np
@@ -50,33 +51,6 @@ class TestBitStream:
     def test_msb_first_layout(self):
         s = bc.BitStream.from_bitstring("10000001")
         assert s.data == b"\x81"
-
-
-class TestReaderWriter:
-    def test_uint_round_trip(self):
-        w = bc.BitWriter()
-        w.write_uint(0b1011, 4)
-        w.write_bit(1)
-        w.write_uint(777, 12)
-        s = w.getvalue()
-        assert s.length == 17
-        assert s.to_bitstring() == "1011" + "1" + format(777, "012b")
-
-    def test_writer_range_check(self):
-        w = bc.BitWriter()
-        with pytest.raises(bc.InvalidParameterError):
-            w.write_uint(4, 2)
-        with pytest.raises(bc.InvalidParameterError):
-            w.write_uint(-1, 8)
-
-    def test_writer_range_check_at_wide_widths(self):
-        w = bc.BitWriter()
-        w.write_uint((1 << 64) - 1, 64)
-        with pytest.raises(bc.InvalidParameterError):
-            w.write_uint((1 << 64) + 5, 64)
-        with pytest.raises(bc.InvalidParameterError):
-            w.write_uint(1 << 70, 70)
-        assert w.getvalue().to_bitstring() == "1" * 64
 
 
 class TestGamma:
@@ -282,12 +256,55 @@ def test_gamma_decode_matches_bit_by_bit_reference(text):
     assert got == want
 
 
+def test_gamma_decode_across_small_windows(monkeypatch):
+    # 16-bit windows: codewords cross window ends, and some are longer
+    # than a whole window, which makes the window grow
+    monkeypatch.setattr(bc, "_DECODE_WINDOW", 16)
+    rnd = random.Random(5)
+    for trial in range(400):
+        values = [
+            rnd.getrandbits(b) | 1 << (b - 1)
+            for b in (rnd.randint(1, 90) for _ in range(rnd.randint(0, 25)))
+        ]
+        text = "".join(bc.elias_gamma_encode(v).to_bitstring() for v in values)
+        if trial % 3 == 1:
+            text = text[: rnd.randint(0, len(text))]
+        elif trial % 3 == 2:
+            text += "0" * rnd.randint(1, 40)
+        want = gamma_decode_bit_by_bit(text)
+        try:
+            got = bc.elias_gamma_decode(bc.BitStream.from_bitstring(text))
+        except bc.MalformedStreamError as err:
+            got = ("error", err.bit_offset)
+        assert got == want, text
+
+
 def test_gamma_decode_values_past_64_bits():
     values = [2**56 - 1, 2**56, 2**57, 2**63 + 5, 2**200 + 1, 3]
     stream = bc.BitStream.from_bits(
         np.concatenate([bc.elias_gamma_encode(v).bits() for v in values])
     )
     assert bc.elias_gamma_decode(stream) == values
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=2**300))
+def test_gamma_encode_writes_the_code_at_any_size(value):
+    code = bc.elias_gamma_encode(value).to_bitstring()
+    assert code == "0" * (value.bit_length() - 1) + format(value, "b")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=2**62), max_size=80))
+def test_gamma_encode_many_is_the_concatenation_of_single_codes(values):
+    joined = "".join(bc.elias_gamma_encode(v).to_bitstring() for v in values)
+    assert bc.elias_gamma_encode_many(values).to_bitstring() == joined
+
+
+def test_gamma_encode_many_across_blocks():
+    values = np.random.default_rng(3).integers(1, 2**20, size=bc._GAMMA_BLOCK + 7)
+    want = np.concatenate([bc.elias_gamma_encode(int(v)).bits() for v in values])
+    assert np.array_equal(bc.elias_gamma_encode_many(values).bits(), want)
 
 
 @settings(max_examples=150, deadline=None)

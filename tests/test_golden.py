@@ -15,7 +15,7 @@ HEADER = ",".join(hz.CSV_COLUMNS)
 VECTOR_ROWS = {
     "correlated-1bit": "correlated-1bit,12,10,2,0.1370008162359371,40,0.20405953535151142,0.4517294935594879,0.008677150759198796,226.0,0.011917426057411518",
     "correlated-klevel": "correlated-klevel,12,10,4,0.1370008162359371,40,0.04303448441153084,0.2074475461689794,0.0006951600127236374,236.0,0.003316710471668166",
-    "entropy-cq": "entropy-cq,12,10,4,0.1370008162359371,40,0.04303448441153084,0.2074475461689794,0.0006951600127236374,230.72222222222223,0.003316710471668166",
+    "entropy-cq": "entropy-cq,12,10,4,0.1370008162359371,40,0.04303448441153084,0.2074475461689794,0.0006951600127236374,231.37083333333334,0.003316710471668166",
     "hadamard-cq": "hadamard-cq,12,10,4,0.1370008162359371,40,0.08827075709436541,0.29710394998108897,0.0017108496170219268,248.0,0.0056401118910656784",
     "independent": "independent,12,10,4,0.1370008162359371,40,0.17740521519583036,0.42119498477051026,0.0037717934089239154,236.0,0.013879758682913614",
     "independent-rotation": "independent-rotation,12,10,4,0.1370008162359371,40,0.6312777252044979,0.7945298768482516,0.01120076349353472,248.0,0.03347652783901066",

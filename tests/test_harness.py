@@ -9,10 +9,10 @@ import scipy.linalg
 
 from corrq import harness as hz
 from corrq import scalar_quant as sq
-from corrq import vector_quant as vq
-from corrq.randomness import build_context, derive_key, trial_seeds
+from corrq.randomness import derive_key, trial_seeds
 from corrq.scalar_quant import ScalarBatch
 from corrq.vector_quant import VectorBatch
+from test_protocol_oracle import oracle_round
 
 
 class TestBoundFormulas:
@@ -130,39 +130,35 @@ class TestRunDme:
 
     def test_engine_matches_reference_ops_scalar(self):
         batch = ScalarBatch(np.array([0.13, 0.55, 0.62, 0.91, 0.08]), 0.0, 1.0)
-        for scheme, k in (("correlated-1bit", 2), ("correlated-klevel", 5)):
+        for scheme, k in (
+            ("correlated-1bit", 2), ("correlated-klevel", 5), ("independent", 4)
+        ):
             prep = hz._prepare(batch, scheme, k)
             seeds = trial_seeds(202, 5)
             values, idx, _, _, signs = hz._evaluate_chunk(prep, seeds)
             est = prep.estimates(values, signs)
             for t in range(5):
-                ctx = build_context(int(seeds[t]), n=5, d=1, k=k)
-                op = (
-                    sq.one_bit_cq(batch, ctx)
-                    if k == 2
-                    else sq.k_level_cq(batch, ctx)
-                )
-                assert np.array_equal(idx[t, 0], op.level_indices), (scheme, t)
-                assert est[t, 0] == op.estimate, (scheme, t)
+                want = oracle_round(batch, scheme, k, int(seeds[t]))
+                assert np.array_equal(idx[t].T, want.indices), (scheme, t)
+                assert np.array_equal(
+                    prep.lower + prep.width * values[t].T, want.per_client
+                ), (scheme, t)
+                assert est[t, 0] == want.per_client.mean(), (scheme, t)
 
     def test_engine_matches_reference_ops_vector(self):
         rng = np.random.default_rng(5)
         batch = VectorBatch.from_vectors(rng.normal(size=(6, 8)))
-        cases = {
-            "correlated-klevel": lambda b, c: vq.correlated_vector_cq(b, c, k=4),
-            "entropy-cq": lambda b, c: vq.entropy_cq(b, c, k=4),
-            "hadamard-cq": lambda b, c: vq.walsh_hadamard_cq(b, c, k=4),
-        }
-        for scheme, op in cases.items():
+        for scheme in hz.SCHEMES:
             prep = hz._prepare(batch, scheme, 4)
             seeds = trial_seeds(31, 3)
             values, idx, _, _, signs = hz._evaluate_chunk(prep, seeds)
             est = prep.estimates(values, signs)
             for t in range(3):
-                ctx = build_context(int(seeds[t]), n=6, d=prep.dp, k=4)
-                rep = op(batch, ctx)
-                assert np.array_equal(idx[t].T, rep.level_indices), scheme
-                assert np.allclose(est[t], rep.estimate, atol=1e-12), scheme
+                want = oracle_round(batch, scheme, 4, int(seeds[t]))
+                assert np.array_equal(idx[t].T, want.indices), scheme
+                assert np.allclose(
+                    est[t], want.per_client.mean(axis=0), rtol=0, atol=1e-12
+                ), scheme
 
     @pytest.mark.parametrize(
         "scheme", ["hadamard-cq", "independent-rotation", "rotate-sign"]
@@ -230,6 +226,17 @@ class TestRunDme:
                 assert rep.bits_per_client == expected_bits[scheme], scheme
             else:
                 assert rep.bits_per_client > 216  # entropy-cq is variable
+
+    def test_gamma_cost_is_priced_on_every_trial(self):
+        # the price is exact, so the audited share cannot move it; auditing
+        # every trial also checks every payload's length against it
+        spec = hz.SyntheticSpec(kind="uniform-mean", n=20, d=64, sigma_md=0.01)
+        costs = {
+            hz.run_dme(spec, "entropy-cq", 30, 5, k=16, bit_trials=bt,
+                       chunk_elements=chunk).bits_per_client
+            for bt in (1, 2, 30) for chunk in (1 << 21, 1 << 11)
+        }
+        assert len(costs) == 1
 
     def test_exact_batches_have_zero_error_and_nonnegative_variance(self):
         for n in (2, 4, 8, 100):

@@ -98,7 +98,7 @@ def test_trial_seeds_distinct_and_deterministic():
 def test_build_context_shapes_and_ranges():
     ctx = build_context(9, n=12, d=5, k=4)
     assert ctx.permutations.shape == (5, 12)
-    assert ctx.offset_units.shape == (12, 5)
+    assert ctx.offset_units.shape == (5, 12)
     assert ctx.grid_offsets.shape == (5,)
     assert ctx.rotation_signs.shape == (5,)
     for j in range(5):
@@ -134,7 +134,7 @@ def test_batched_context_arrays_match_single_contexts():
     for t in range(7):
         ctx = build_context(int(seeds[t]), n=6, d=3, k=5)
         assert np.array_equal(arrays.permutations[t], ctx.permutations)
-        assert np.array_equal(arrays.offset_units[t], ctx.offset_units.T)
+        assert np.array_equal(arrays.offset_units[t], ctx.offset_units)
         assert np.array_equal(arrays.grid_offsets[t], ctx.grid_offsets)
         assert np.array_equal(arrays.rotation_signs[t], ctx.rotation_signs)
 

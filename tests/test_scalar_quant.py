@@ -10,7 +10,6 @@ from corrq.scalar_quant import (
     ScalarBatch,
     concentration_stats,
     correlated_bits,
-    grid_for,
     independent_sq,
     k_level_cq,
     level_cells,
@@ -58,7 +57,7 @@ class TestKernels:
     def test_correlated_bits_extremes(self):
         ctx = build_context(5, n=8)
         perm = ctx.permutations[0]
-        units = ctx.offset_units[:, 0]
+        units = ctx.offset_units[0]
         assert not correlated_bits(np.zeros(8), perm, units).any()
         assert correlated_bits(np.ones(8), perm, units).all()
 
@@ -67,7 +66,7 @@ class TestKernels:
         # its permutation slot is below s
         ctx = build_context(11, n=10)
         perm = ctx.permutations[0]
-        units = ctx.offset_units[:, 0]
+        units = ctx.offset_units[0]
         for s in range(11):
             bits = correlated_bits(np.full(10, s / 10), perm, units)
             assert np.array_equal(bits, perm < s)
@@ -157,13 +156,6 @@ class TestKLevel:
         se = np.sqrt(level_spacing(4) ** 2 / 4 / 5 / len(seeds))
         assert abs(acc / len(seeds) - b.mean()) < 4 * se
 
-    def test_grid_for_matches_context(self):
-        ctx = build_context(31, n=4, d=3, k=6)
-        g = grid_for(ctx, coordinate=2)
-        assert g.k == 6
-        assert g.first_level == ctx.grid_offsets[2]
-        assert g.spacing == level_spacing(6)
-
     def test_dimension_mismatch_rejected(self):
         b = batch01([0.1, 0.9])
         ctx = build_context(0, n=3, k=4)
@@ -174,20 +166,26 @@ class TestKLevel:
 class TestIndependent:
     def test_unbiased(self):
         b = ScalarBatch(np.array([0.15, 0.5, 0.85]), 0.0, 1.0)
-        rng = np.random.default_rng(77)
         trials = 40_000
-        acc = sum(independent_sq(b, 4, rng).estimate for _ in range(trials))
+        keys = trial_seeds(77, trials)
+        acc = sum(independent_sq(b, 4, int(key)).estimate for key in keys)
         se = np.sqrt((1 / 3) ** 2 / 4 / 3 / trials)
         assert abs(acc / trials - b.mean()) < 4 * se
 
     def test_grid_points_only(self):
         b = batch01([0.3, 0.7])
-        out = independent_sq(b, 5, np.random.default_rng(0))
+        out = independent_sq(b, 5, key=0)
         assert np.all(np.isin(out.per_client, np.linspace(0, 1, 5)))
+
+    def test_key_is_reduced_mod_2_64(self):
+        b = batch01(np.linspace(0.05, 0.95, 40))
+        want = independent_sq(b, 4, key=2**64 - 1).per_client
+        for key in (-1, 2**128 - 1):
+            assert np.array_equal(independent_sq(b, 4, key=key).per_client, want)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            independent_sq(batch01([0.5]), 1, np.random.default_rng(0))
+            independent_sq(batch01([0.5]), 1, key=0)
 
 
 def test_concentration_stats():

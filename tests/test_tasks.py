@@ -6,13 +6,13 @@ import pytest
 import corrq.tasks as tk
 import corrq.vector_quant as vq
 from corrq.randomness import (
-    build_context,
     child_keys,
     derive_key,
     fnv1a64,
     mix64,
     stream_uniform,
 )
+from test_protocol_oracle import assert_matches, oracle_round
 
 
 @pytest.fixture(scope="module")
@@ -46,33 +46,18 @@ class TestQuantizedRound:
         # the server estimate is exactly the mean of the decoded messages
         assert np.allclose(r.per_client.mean(axis=0), r.estimate)
 
-    @pytest.mark.parametrize("scheme", [
-        "correlated-1bit", "correlated-klevel", "entropy-cq", "hadamard-cq",
-        "rotate-sign",
-    ])
+    @pytest.mark.parametrize("scheme", tk.TASK_SCHEMES[1:])
     def test_round_matches_reference_op_bit_for_bit(self, scheme):
-        # the reference ops are an independent implementation; a round is
-        # the engine at one trial keyed by derive_key(seed, "ctx")
+        # a round is the engine at one trial keyed by derive_key(seed, "ctx");
+        # the protocol oracle computes the same round client by client
         rng = np.random.default_rng(4)
         vecs = rng.normal(size=(9, 13))
         seed, k = 21, 4
         r = tk.quantized_round(vecs, scheme, k, seed=seed)
         batch = vq.VectorBatch.from_vectors(vecs)
-        rotated = scheme in ("hadamard-cq", "rotate-sign")
-        levels = 2 if scheme in ("correlated-1bit", "rotate-sign") else k
-        ctx = build_context(
-            derive_key(seed, "ctx"), n=9, d=16 if rotated else 13, k=levels
-        )
-        ref = {
-            "correlated-1bit": lambda: vq.correlated_vector_cq(batch, ctx, k=2),
-            "correlated-klevel": lambda: vq.correlated_vector_cq(batch, ctx, k=k),
-            "entropy-cq": lambda: vq.entropy_cq(batch, ctx, k=k),
-            "hadamard-cq": lambda: vq.walsh_hadamard_cq(batch, ctx, k=k),
-            "rotate-sign": lambda: vq.rotate_sign_baseline(batch, ctx),
-        }[scheme]()
-        assert r.per_client.tobytes() == ref.per_client.tobytes()
-        assert r.estimate.tobytes() == ref.estimate.tobytes()
-        assert r.bits_per_client == float(ref.bits_per_client.mean())
+        want = oracle_round(batch, scheme, k, derive_key(seed, "ctx"))
+        assert_matches(r.per_client, want, scheme, batch.radius)
+        assert r.bits_per_client == float(want.bits.mean())
 
     def test_private_rounding_is_the_counter_stream_of_the_round_key(self):
         # no numpy generator: the round rebuilds from its seed alone, with

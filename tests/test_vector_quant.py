@@ -157,7 +157,7 @@ class TestCorrelatedVector:
         units = ctx.offset_units.copy()
         grid = ctx.grid_offsets.copy()
         perms[2] = other.permutations[2]
-        units[:, 2] = other.offset_units[:, 2]
+        units[2] = other.offset_units[2]
         grid[2] = other.grid_offsets[2]
         tampered = RandomnessContext(
             seed=ctx.seed, n=5, d=4, k=4, permutations=perms,
@@ -268,22 +268,16 @@ class TestIndependentBaselines:
         acc = np.zeros(b.d)
         trials = 6000
         for t in range(trials):
-            rep = vq.independent_vector_sq(
-                b, 4, rng=np.random.default_rng(1000 + t)
-            )
+            rep = vq.independent_vector_sq(b, 4, key=1000 + t)
             acc += rep.estimate
         assert np.abs(acc / trials - b.mean()).max() < 3e-2 * b.radius
 
     def test_rotated_variant_unbiased(self):
         b = make_batch(n=6, d=5, seed=9)
-        m = vq.next_pow2(b.d)
         acc = np.zeros(b.d)
         trials = 6000
         for t in range(trials):
-            ctx = build_context(t, n=b.n, d=m, k=4)
-            rep = vq.independent_vector_sq(
-                b, 4, rotate=True, rng=np.random.default_rng(5000 + t), ctx=ctx
-            )
+            rep = vq.independent_vector_sq(b, 4, rotate=True, key=5000 + t)
             acc += rep.estimate
         assert np.abs(acc / trials - b.mean()).max() < 3e-2 * b.radius
 
@@ -292,10 +286,10 @@ class TestIndependentBaselines:
         acc = np.zeros(b.d)
         trials = 8000
         for t in range(trials):
-            rep = vq.ternary_quantize(b, np.random.default_rng(t))
+            rep = vq.ternary_quantize(b, key=t)
             acc += rep.estimate
         assert np.abs(acc / trials - b.mean()).max() < 3e-2 * b.radius
-        rep = vq.ternary_quantize(b, np.random.default_rng(3))
+        rep = vq.ternary_quantize(b, key=3)
         head, scale = vq.split_scale_tail(rep.payloads[0])
         assert scale == rep.scales[0]
         assert np.array_equal(bc.unpack_fixed(head, 3), rep.level_indices[0])
@@ -303,7 +297,7 @@ class TestIndependentBaselines:
 
     def test_terngrad_zero_batch(self):
         b = vq.VectorBatch(np.zeros((3, 4)), radius=1.0)
-        rep = vq.ternary_quantize(b, np.random.default_rng(0))
+        rep = vq.ternary_quantize(b, key=0)
         assert not rep.estimate.any()
         assert np.all(rep.scales == 0.0)
 
@@ -351,7 +345,7 @@ def test_cq_encode_decode_per_client_error():
     ctx = build_context(31, n=7, d=3, k=5)
     y = np.random.default_rng(0).random((3, 7))
     indices = vq.cq_encode(
-        y, ctx.permutations, ctx.offset_units.T, ctx.grid_offsets, 5
+        y, ctx.permutations, ctx.offset_units, ctx.grid_offsets, 5
     )
     decoded = vq.cq_decode(indices, ctx.grid_offsets, 5)
     spacing = 6 / (5 * 4)
