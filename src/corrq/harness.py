@@ -600,7 +600,6 @@ class Round(NamedTuple):
 
     per_client: np.ndarray          # decoded client values (n, d)
     indices: np.ndarray             # transmitted level indices (n, dp)
-    payloads: list[bc.BitStream]
     bits: np.ndarray                # wire header plus payload bits (n,)
     scales: np.ndarray | None       # the scale tail's values (n,)
     clips: int
@@ -610,9 +609,10 @@ def run_round(
     batch: ScalarBatch | VectorBatch, scheme: str, k: int, key: int,
     ctx: ContextArrays | None = None,
 ) -> Round:
-    """The engine at one trial keyed `key` (reduced mod 2**64), with
-    every client's payload as the wire audit serializes it. ctx, one
-    trial of ContextArrays (leading axis 1), replaces the shared
+    """The engine at one trial keyed `key` (reduced mod 2**64). Each
+    client's bits are priced from its level indices as run_dme prices
+    them, the length of the payload the wire audit would serialize. ctx,
+    one trial of ContextArrays (leading axis 1), replaces the shared
     randomness the key would build; the reference ops pass a
     RandomnessContext this way."""
     prep = _prepare(batch, scheme, k)
@@ -621,9 +621,9 @@ def run_round(
     )
     scales = None if scales is None else scales[0]
     indices = idx[0].T
-    payloads = client_payloads(indices, prep.k, prep.scheme.gamma, scales)
-    bits = np.array([bc.HEADER_BITS + p.length for p in payloads], dtype=np.int64)
-    return Round(prep.per_client(values, signs), indices, payloads, bits, scales, clips)
+    tail = 64 if prep.scheme.scale_tail else 0
+    bits = bc.HEADER_BITS + tail + _code_lengths(prep)[indices].sum(axis=1)
+    return Round(prep.per_client(values, signs), indices, bits, scales, clips)
 
 
 def run_dme(

@@ -70,6 +70,8 @@ class ShardedDataset:
         for i, s in enumerate(shards):
             if s.ndim != 2 or s.shape[0] == 0 or s.shape[1] != d:
                 raise ValueError(f"shard {i} must be non-empty with {d} columns")
+            if not np.all(np.isfinite(s)):
+                raise ValueError(f"shard {i} holds a non-finite value")
         if self.labels is not None:
             labels = tuple(np.asarray(l) for l in self.labels)
             object.__setattr__(self, "labels", labels)
@@ -228,10 +230,45 @@ def _clip_rows(vectors: np.ndarray, radius: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each point's nearest center, ties to the lowest index: bit for bit
+    the argmin of the (N, C, d) broadcast
+    ((points[:, None] - centers[None]) ** 2).sum(axis=2).
+
+    One GEMM scores every pair as ||c||^2 - 2 x.c, the squared distance
+    minus ||x||^2. To first order in eps, in any summation order, the
+    score is within (d + 1) eps T of that and the broadcast's distance
+    (a sum of nonnegative terms) within (d + 2) eps T of the exact one,
+    T = ||x||^2 + max ||c||^2. Allowing each twice that, a row whose two
+    smallest scores are more than 8 (d + 2) eps T apart has a strict
+    broadcast minimum at the same center; rows within the bound are
+    redone by the broadcast.
+    """
+    if centers.shape[0] == 1:
+        return np.zeros(points.shape[0], dtype=np.int64)
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    scores = c2 - 2.0 * (points @ centers.T)
+    assign = scores.argmin(axis=1)
+    low2 = np.partition(scores, 1, axis=1)
+    x2 = np.einsum("ij,ij->i", points, points)
+    eps = np.finfo(np.float64).eps
+    bound = 8.0 * (points.shape[1] + 2) * eps * (x2 + c2.max())
+    near = np.flatnonzero(low2[:, 1] - low2[:, 0] <= bound)
+    if near.size:
+        diff = points[near, None, :] - centers[None, :, :]
+        assign[near] = (diff**2).sum(axis=2).argmin(axis=1)
+    return assign
+
+
 def kmeans_objective(points: np.ndarray, centers: np.ndarray) -> float:
     """Mean squared distance of each point to its nearest center."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return float(d2.min(axis=1).mean())
+    points = np.asarray(points, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    diff = centers[_nearest(points, centers)]
+    np.subtract(points, diff, out=diff)  # one (N, d) array in all
+    diff *= diff
+    # each row's contiguous sum is the broadcast's row sum, bit for bit
+    return float(diff.sum(axis=1).mean())
 
 
 def _kmeans_pp_init(points: np.ndarray, centers: int, rng) -> np.ndarray:
@@ -281,8 +318,7 @@ def distributed_kmeans(
         local_means = np.empty((centers, data.n_clients, data.d))
         counts = np.zeros((centers, data.n_clients))
         for i, shard in enumerate(data.shards):
-            d2 = ((shard[:, None, :] - current[None, :, :]) ** 2).sum(axis=2)
-            assign = d2.argmin(axis=1)
+            assign = _nearest(shard, current)
             for c in range(centers):
                 members = shard[assign == c]
                 counts[c, i] = members.shape[0]
@@ -701,7 +737,11 @@ def logistic_problem_fixture(
 # ---------------------------------------------------------------------------
 
 
-def _parse_rows(path: Path, expect_fields: int) -> list[list[float]]:
+def _parse_rows(
+    path: Path, expect_fields: int, id_fields: int
+) -> list[list[float]]:
+    """The rows of a CSV of finite numbers whose first id_fields columns
+    (labels, client ids) hold integers."""
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -716,27 +756,28 @@ def _parse_rows(path: Path, expect_fields: int) -> list[list[float]]:
                     f"{path}: row {lineno}: expected {expect_fields} fields, "
                     f"got {len(row)}"
                 )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(
-                    i for i, cell in enumerate(row, start=1)
-                    if not _is_number(cell)
-                )
-                raise DatasetError(
-                    f"{path}: row {lineno}, column {bad}: not a number"
-                ) from None
+            for column, cell in enumerate(row, start=1):
+                problem = _cell_problem(cell, integer=column <= id_fields)
+                if problem:
+                    raise DatasetError(
+                        f"{path}: row {lineno}, column {column}: {problem}"
+                    )
+            rows.append([float(cell) for cell in row])
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     return rows
 
 
-def _is_number(cell: str) -> bool:
+def _cell_problem(cell: str, integer: bool) -> str | None:
     try:
-        float(cell)
-        return True
+        value = float(cell)
     except ValueError:
-        return False
+        return "not a number"
+    if not math.isfinite(value):
+        return "not finite"
+    if integer and not value.is_integer():
+        return "not an integer"
+    return None
 
 
 def load_client_files(
@@ -749,7 +790,7 @@ def load_client_files(
     shards = []
     labels = []
     for p in paths:
-        rows = np.array(_parse_rows(Path(p), features + 1))
+        rows = np.array(_parse_rows(Path(p), features + 1, id_fields=1))
         labels.append(rows[:, 0].astype(np.int64))
         shards.append(rows[:, 1:] / 255.0)
     return ShardedDataset(
@@ -760,7 +801,7 @@ def load_client_files(
 def load_single_file(path: str | Path, features: int = 784) -> ShardedDataset:
     """A single CSV with rows `client_id,label,p0,...`; shards are the
     distinct client ids in ascending order."""
-    rows = np.array(_parse_rows(Path(path), features + 2))
+    rows = np.array(_parse_rows(Path(path), features + 2, id_fields=2))
     ids = rows[:, 0].astype(np.int64)
     shards = []
     labels = []

@@ -321,16 +321,21 @@ def _engine_report(
     scheme: str, batch: VectorBatch, k: int, key: int = 0, ctx=None
 ) -> VectorQuantReport:
     """One round of `scheme` on the engine of harness.run_round, keyed by
-    `key` or reading the caller's shared context."""
-    from .harness import run_round  # harness imports this module
+    `key` or reading the caller's shared context, with every client's
+    payload as the wire audit serializes it."""
+    from .harness import SCHEME_TABLE, run_round  # harness imports this module
 
     r = run_round(batch, scheme, k, key, None if ctx is None else ctx.arrays())
+    spec = SCHEME_TABLE[scheme]
+    payloads = client_payloads(r.indices, spec.wire_levels(k), spec.gamma, r.scales)
+    if any(bc.HEADER_BITS + p.length != b for p, b in zip(payloads, r.bits)):
+        raise RuntimeError(f"a {scheme} payload differs from its price")
     return VectorQuantReport(
         scheme=scheme,
         estimate=r.per_client.mean(axis=0),
         per_client=r.per_client,
         level_indices=r.indices,
-        payloads=tuple(r.payloads),
+        payloads=tuple(payloads),
         bits_per_client=r.bits,
         clip_events=r.clips,
         sigma_d_md=vector_concentration(batch),

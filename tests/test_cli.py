@@ -211,6 +211,18 @@ class TestTasks:
         assert code == 2
         assert "error:" in err
 
+    def test_non_finite_feature_exits_two(self, capsys, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("0,1,2\n1,nan,3\n")
+        b.write_text("1,3,4\n0,5,6\n")
+        code, _, err = run(
+            capsys, "kmeans", "--data", str(a), str(b), "--features", "2",
+            "--centers", "2",
+        )
+        assert code == 2
+        assert "a.csv: row 2, column 2: not finite" in err
+
     def test_power_on_fixture(self, capsys):
         code, out, _ = run(capsys, "power", "--rounds", "5")
         assert code == 0

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from corrq import bitcodec as bc
 from corrq import harness as hz
 from corrq import scalar_quant as sq
+from corrq import vector_quant as vq
 from corrq.randomness import derive_key, trial_seeds
 from corrq.scalar_quant import ScalarBatch
 from corrq.vector_quant import VectorBatch
@@ -111,6 +113,26 @@ class TestGenerators:
         assert isinstance(hz.generate(scalar_spec, seed=0), ScalarBatch)
         with pytest.raises(ValueError):
             hz.SyntheticSpec(kind="nope", n=5)
+
+
+@pytest.mark.parametrize("scheme", hz.SCHEMES)
+def test_run_round_bits_are_the_serialized_payload_lengths(scheme):
+    # run_round prices bits from the level indices without building a
+    # payload; client_payloads serializes them as the wire audit does
+    spec = hz.SCHEME_TABLE[scheme]
+    for n, d, k in ((2, 1, 2), (7, 13, 4), (30, 8, 16), (9, 20, 64)):
+        rng = np.random.default_rng(100 * n + d)
+        batches = [VectorBatch.from_vectors(rng.normal(size=(n, d)))]
+        if spec.scalar_ok:
+            batches.append(ScalarBatch(rng.uniform(-1.0, 2.0, size=n), -1.0, 2.0))
+        for batch in batches:
+            r = hz.run_round(batch, scheme, k, n + d)
+            payloads = vq.client_payloads(
+                r.indices, spec.wire_levels(k), spec.gamma, r.scales
+            )
+            assert r.bits.dtype == np.int64
+            want = [bc.HEADER_BITS + p.length for p in payloads]
+            assert r.bits.tolist() == want, (scheme, n, d, k)
 
 
 class TestRunDme:

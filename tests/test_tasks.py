@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrq.tasks as tk
 import corrq.vector_quant as vq
@@ -118,6 +120,39 @@ class TestKmeans:
         with pytest.raises(ValueError):
             tk.distributed_kmeans(blob_data, centers=10_000, rounds=1,
                                   scheme="none", seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    c=st.integers(1, 6),
+    d=st.sampled_from([1, 2, 3, 7, 16, 100]),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    on_grid=st.booleans(),
+    duplicate=st.booleans(),
+    on_center=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_matches_the_broadcast_bit_for_bit(
+    n, c, d, scale, on_grid, duplicate, on_center, seed
+):
+    # small-integer coordinates make exact distance ties between distinct
+    # centers common; duplicated centers tie exactly on every point
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        centers = rng.integers(-2, 3, size=(c, d)).astype(np.float64)
+    else:
+        points = rng.normal(size=(n, d))
+        centers = rng.normal(size=(c, d))
+    if duplicate and c > 1:
+        centers[rng.integers(1, c)] = centers[rng.integers(c)]
+    if on_center:
+        points[rng.integers(n)] = centers[rng.integers(c)]
+    points, centers = points * scale, centers * scale
+    want = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(tk._nearest(points, centers), want.argmin(axis=1))
+    assert tk.kmeans_objective(points, centers) == float(want.min(axis=1).mean())
 
 
 class TestPowerIteration:
@@ -289,6 +324,9 @@ class TestDatasets:
             tk.ShardedDataset((np.ones((2, 3)),), (np.array([1]),))
         with pytest.raises(ValueError):
             tk.ShardedDataset((np.ones((2, 3)),)).stacked_labels()
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="shard 1"):
+                tk.ShardedDataset((np.ones((2, 3)), np.full((1, 3), bad)))
 
     def test_client_file_loader(self, tmp_path):
         p1 = tmp_path / "c1.csv"
@@ -320,6 +358,32 @@ class TestDatasets:
             tk.load_client_files([bad], features=2)
         with pytest.raises(tk.DatasetError):
             tk.load_client_files([tmp_path / "missing.csv"], features=2)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_loaders_reject_non_finite_cells(self, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,2,3\n\n0,4,{cell}\n")
+        with pytest.raises(tk.DatasetError, match=r"bad.csv: row 3, column 3: not finite"):
+            tk.load_client_files([bad], features=2)
+        bad.write_text(f"0,1,2,3\n{cell},1,2,3\n")
+        with pytest.raises(tk.DatasetError, match="row 2, column 1: not finite"):
+            tk.load_single_file(bad, features=2)
+
+    def test_loaders_reject_non_integer_labels_and_client_ids(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2,3\n0.7,4,5\n")
+        with pytest.raises(tk.DatasetError, match="row 2, column 1: not an integer"):
+            tk.load_client_files([bad], features=2)
+        bad.write_text("0,1,2,3\n1.5,1,2,3\n")
+        with pytest.raises(tk.DatasetError, match="row 2, column 1: not an integer"):
+            tk.load_single_file(bad, features=2)
+        bad.write_text("0,1,2,3\n1,2.25,2,3\n")
+        with pytest.raises(tk.DatasetError, match="row 2, column 2: not an integer"):
+            tk.load_single_file(bad, features=2)
+        # integer-valued floats are ids; pixel columns may be fractional
+        bad.write_text("1.0,2e0,0.5,3\n")
+        ds = tk.load_single_file(bad, features=2)
+        assert ds.labels[0].tolist() == [2]
 
     def test_task_result_csv(self, blob_data):
         res = tk.distributed_kmeans(blob_data, centers=2, rounds=3,

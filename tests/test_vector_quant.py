@@ -21,6 +21,59 @@ def make_batch(n=6, d=5, seed=7, headroom=1.3):
     return vq.VectorBatch(x, radius)
 
 
+VECTOR_OPS = {
+    # name: (op on a batch, wire levels, gamma coded, scale tail)
+    "correlated-1bit": (
+        lambda b: vq.correlated_vector_cq(b, build_context(1, b.n, b.d, 2), k=2),
+        2, False, False,
+    ),
+    "correlated-klevel": (
+        lambda b: vq.correlated_vector_cq(b, build_context(2, b.n, b.d, 5), k=5),
+        5, False, False,
+    ),
+    "entropy-cq": (
+        lambda b: vq.entropy_cq(b, build_context(3, b.n, b.d, 8), k=8),
+        8, True, False,
+    ),
+    "hadamard-cq": (
+        lambda b: vq.walsh_hadamard_cq(
+            b, build_context(4, b.n, vq.next_pow2(b.d), 4), k=4
+        ),
+        4, False, False,
+    ),
+    "independent": (lambda b: vq.independent_vector_sq(b, 6, key=5), 6, False, False),
+    "independent-rotation": (
+        lambda b: vq.independent_vector_sq(b, 3, rotate=True, key=6), 3, False, False,
+    ),
+    "terngrad": (lambda b: vq.ternary_quantize(b, key=7), 3, False, True),
+    "rotate-sign": (
+        lambda b: vq.rotate_sign_baseline(
+            b, build_context(8, b.n, vq.next_pow2(b.d), 2)
+        ),
+        2, False, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(VECTOR_OPS))
+def test_op_payloads_decode_to_level_indices(scheme):
+    op, k, gamma, tail = VECTOR_OPS[scheme]
+    b = make_batch(n=7, d=11, seed=13)
+    rep = op(b)
+    assert rep.scheme == scheme
+    assert len(rep.payloads) == b.n
+    for i, payload in enumerate(rep.payloads):
+        assert rep.bits_per_client[i] == bc.HEADER_BITS + payload.length
+        if tail:
+            payload, scale = vq.split_scale_tail(payload)
+            assert scale == rep.scales[i]
+        if gamma:
+            got = bc.zigzag_decode(np.array(bc.elias_gamma_decode(payload)), k)
+        else:
+            got = bc.unpack_fixed(payload, k)
+        assert np.array_equal(got, rep.level_indices[i])
+
+
 class TestVectorBatch:
     def test_validation(self):
         with pytest.raises(ValueError):
