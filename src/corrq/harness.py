@@ -6,11 +6,11 @@ run_dme plays a full round per trial: every client quantizes its value
 run_round is the same engine at one trial, the tasks' aggregation round.
 The per-trial randomness comes from counter-based sub-seeds, so trials
 are independent work units and the reported numbers do not depend on the
-internal chunk size. bits_per_client is priced exactly from every
-trial's level indices with a table of codeword lengths. For the first
-bit_trials trials each client message is also serialized through the
-wire format and decoded back; the run asserts the decoded indices match
-the simulation exactly and that every payload is as long as priced
+internal chunk size. Every message of every trial is priced exactly by
+its Scheme's message_bits. For the first bit_trials trials each message
+is also built (Scheme.payloads), sent through the wire format and read
+back (Scheme.decode); the run asserts the decoded indices match the
+simulation exactly and that every payload is as long as priced
 (serializing millions of messages would add nothing but time).
 
 Also here: the synthetic dataset generators, including the two-point and
@@ -31,18 +31,16 @@ from . import bitcodec as bc
 from .randomness import (
     MASK64,
     ContextArrays,
-    child_keys,
     build_context_arrays,
     derive_key,
-    fnv1a64,
-    mix64,
+    private_uniforms,
     rotation_signs,
-    stream_uniform,
+    trial_seeds,
 )
 from .scalar_quant import ScalarBatch, concentration_stats, uniform_grid_cells
 from .vector_quant import (
     VectorBatch,
-    client_payloads,
+    append_scale_tail,
     cq_decode,
     cq_encode,
     next_pow2,
@@ -63,6 +61,7 @@ class Scheme(NamedTuple):
     grid), "ternary" (private rounding to {-s_i, 0, +s_i}) or "sign"
     (sign bits and the l1 scale). A rotated scheme runs it inside the
     shared randomized Hadamard rotation, on the padded dimension.
+    message_bits, payloads and decode define its client message.
     """
 
     name: str
@@ -76,6 +75,58 @@ class Scheme(NamedTuple):
 
     def wire_levels(self, k: int) -> int:
         return k if self.levels is None else self.levels
+
+    def message_bits(self, indices: np.ndarray, k: int) -> np.ndarray:
+        """Each message's exact size (..., n), wire header and scale tail
+        included, from level indices on the engine's (..., dp, n) layout;
+        a gamma codeword of zig-zag value v has 2 floor(log2 v) + 1 bits.
+        Fixed-width sizes are one constant, a read-only broadcast."""
+        k = self.wire_levels(k)
+        shape = indices.shape[:-2] + indices.shape[-1:]
+        fixed = bc.HEADER_BITS + (64 if self.scale_tail else 0)
+        if not self.gamma:
+            per_message = fixed + indices.shape[-2] * bc.fixed_width(k)
+            return np.broadcast_to(np.int64(per_message), shape)
+        _, bit_length = np.frexp(bc.zigzag_encode(np.arange(k), k))
+        lengths = (2 * bit_length - 1).astype(np.uint8)  # at most 33 bits
+        return fixed + lengths[indices].sum(axis=-2, dtype=np.int64)
+
+    def payloads(self, indices_nd, k: int, scales, bits) -> list[bc.BitStream]:
+        """One payload per row of indices_nd (n, dp): the indices at
+        ceil(log2 k) bits each (or zig-zag plus Elias gamma), then the
+        float64 scale tail. Raises RuntimeError unless every message is
+        as long as bits (n,), its price, says."""
+        k = self.wire_levels(k)
+        if self.gamma:
+            out = [
+                bc.elias_gamma_encode_many(bc.zigzag_encode(row, k))
+                for row in indices_nd
+            ]
+        else:
+            out = bc.pack_fixed_rows(indices_nd, k)
+        if self.scale_tail:
+            out = [append_scale_tail(p, float(s)) for p, s in zip(out, scales)]
+        if any(bc.HEADER_BITS + p.length != b for p, b in zip(out, bits)):
+            raise RuntimeError(f"a {self.name} payload differs from its price")
+        return out
+
+    def decode(self, payloads: Sequence[bc.BitStream], k: int):
+        """Indices (n, dp) and scales (n,) or None of one trial's payloads."""
+        k = self.wire_levels(k)
+        scales = None
+        if self.scale_tail:
+            split = [split_scale_tail(p) for p in payloads]
+            payloads = [body for body, _ in split]
+            scales = np.array([scale for _, scale in split])
+        if not self.gamma:
+            return bc.unpack_fixed_rows(payloads, k), scales
+        rows = [
+            bc.zigzag_decode(np.asarray(bc.elias_gamma_decode(p), dtype=np.int64), k)
+            for p in payloads
+        ]
+        if len({len(row) for row in rows}) != 1:
+            raise RuntimeError(f"{self.name} payloads decode to unequal lengths")
+        return np.stack(rows), scales
 
     @property
     def randomness(self) -> str:
@@ -434,7 +485,11 @@ class _Prepared(NamedTuple):
 
 
 def _prepare(batch, scheme: str, k: int) -> _Prepared:
-    spec = SCHEME_TABLE[scheme]
+    spec = SCHEME_TABLE.get(scheme)
+    if spec is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if isinstance(batch, ScalarBatch) and not spec.scalar_ok:
+        raise ValueError(f"{scheme} does not apply to scalar batches")
     if k < 2:
         raise ValueError("need k >= 2")
     k = spec.wire_levels(k)
@@ -471,14 +526,6 @@ def _prepare(batch, scheme: str, k: int) -> _Prepared:
     return _Prepared(spec, n, d, d, k, lower, width, y_dn=y_dn, grid=grid)
 
 
-def _private_uniforms(seeds: np.ndarray, d: int, n: int) -> np.ndarray:
-    """U[0,1) stream for per-client private rounding, shape (C, d, n)."""
-    root = mix64(np.asarray(seeds, dtype=np.uint64))
-    key = mix64(root ^ np.uint64(fnv1a64("private")))
-    coord_keys = child_keys(key[..., None], np.arange(d, dtype=np.uint64))
-    return stream_uniform(coord_keys[..., None], np.arange(n, dtype=np.uint64))
-
-
 def _quantize(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None):
     """Wire indices and normalized decoded values for y in [0, 1] on the
     (..., dp, n) layout; grid is y's uniform-grid split when precomputed."""
@@ -490,7 +537,7 @@ def _quantize(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None):
     cells, frac = grid if grid is not None else uniform_grid_cells(
         y * (prep.k - 1), prep.k
     )
-    idx = cells + (_private_uniforms(seeds, prep.dp, prep.n) < frac)
+    idx = cells + (private_uniforms(seeds, prep.dp, prep.n) < frac)
     return idx, idx / (prep.k - 1)
 
 
@@ -512,7 +559,7 @@ def _evaluate_chunk(
     if ctx is None and spec.randomness == "context":
         ctx = build_context_arrays(seeds, prep.n, prep.dp, prep.k)
     if spec.rule == "ternary":
-        priv = _private_uniforms(seeds, prep.d, prep.n)
+        priv = private_uniforms(seeds, prep.d, prep.n)
         trits = np.where(priv < prep.tern_prob, prep.tern_sign, 0.0)
         scales = np.broadcast_to(prep.tern_scales, (len(seeds), prep.n))
         return trits * prep.tern_scales, trits.astype(np.int64) + 1, scales, 0, None
@@ -536,63 +583,28 @@ def _evaluate_chunk(
     return z, idx, None, clips, signs
 
 
-def _decode_payloads(spec: Scheme, payloads: list[bc.BitStream], k: int):
-    """Indices (n, dp) and scales (n,) or None of one trial's payloads."""
-    if spec.gamma:
-        rows = [
-            bc.zigzag_decode(np.asarray(bc.elias_gamma_decode(p), dtype=np.int64), k)
-            for p in payloads
-        ]
-        if len({len(row) for row in rows}) != 1:
-            raise RuntimeError(f"wire decode disagrees with engine for {spec.name}")
-        return np.stack(rows), None
-    scales = None
-    if spec.scale_tail:
-        split = [split_scale_tail(p) for p in payloads]
-        payloads = [body for body, _ in split]
-        scales = np.array([scale for _, scale in split])
-    return bc.unpack_fixed_rows(payloads, k), scales
-
-
-def _code_lengths(prep: _Prepared) -> np.ndarray:
-    """Payload bits of each level index: the fixed width, or for the
-    gamma-coded schemes the 2 floor(log2 v) + 1 bits of its zig-zag
-    value v."""
-    if not prep.scheme.gamma:
-        return np.full(prep.k, bc.fixed_width(prep.k), dtype=np.int64)
-    _, bit_length = np.frexp(bc.zigzag_encode(np.arange(prep.k), prep.k))
-    return 2 * bit_length.astype(np.int64) - 1
-
-
 def _audit_wire(
-    prep: _Prepared,
-    audit: list[tuple[int, np.ndarray, np.ndarray | None]],
-    lengths: np.ndarray,
+    prep: _Prepared, seed: int, idx: np.ndarray, scales, bits: np.ndarray
 ) -> None:
-    """Serialize the audited trials for real; assert the wire round trip
-    reproduces the engine's indices (and scales) exactly, and that every
-    payload is as long as run_dme prices it from the level indices."""
-    scheme = prep.scheme.name
-    tail = 64 if prep.scheme.scale_tail else 0
-    for trial_seed, idx, scales in audit:
-        received = []
-        payloads = client_payloads(idx.T, prep.k, prep.scheme.gamma, scales)
-        for payload, want in zip(payloads, lengths[idx].sum(axis=0) + tail):
-            if payload.length != want:
-                raise RuntimeError(f"a {scheme} payload differs from its price")
-            msg = bc.WireMessage(
-                scheme=scheme, n=prep.n, d=prep.dp, k=prep.k,
-                seed=trial_seed, payload=payload,
-            )
-            back = bc.message_decode(bc.message_encode(msg))
-            if back != msg:
-                raise RuntimeError(f"wire round trip altered a {scheme} message")
-            received.append(back.payload)
-        got_idx, got_scales = _decode_payloads(prep.scheme, received, prep.k)
-        if not np.array_equal(got_idx, idx.T):
-            raise RuntimeError(f"wire decode disagrees with engine for {scheme}")
-        if scales is not None and not np.array_equal(got_scales, scales):
-            raise RuntimeError(f"wire scale round trip failed for {scheme}")
+    """Serialize one trial's messages (indices idx (dp, n), scales, prices
+    bits) for real; assert the wire round trip reproduces the engine's
+    indices (and scales) exactly."""
+    spec, indices = prep.scheme, idx.T
+    received = []
+    for payload in spec.payloads(indices, prep.k, scales, bits):
+        msg = bc.WireMessage(
+            scheme=spec.name, n=prep.n, d=prep.dp, k=prep.k, seed=seed,
+            payload=payload,
+        )
+        back = bc.message_decode(bc.message_encode(msg))
+        if back != msg:
+            raise RuntimeError(f"wire round trip altered a {spec.name} message")
+        received.append(back.payload)
+    got_idx, got_scales = spec.decode(received, prep.k)
+    if not np.array_equal(got_idx, indices):
+        raise RuntimeError(f"wire decode disagrees with engine for {spec.name}")
+    if scales is not None and not np.array_equal(got_scales, scales):
+        raise RuntimeError(f"wire scale round trip failed for {spec.name}")
 
 
 class Round(NamedTuple):
@@ -610,20 +622,22 @@ def run_round(
     ctx: ContextArrays | None = None,
 ) -> Round:
     """The engine at one trial keyed `key` (reduced mod 2**64). Each
-    client's bits are priced from its level indices as run_dme prices
-    them, the length of the payload the wire audit would serialize. ctx,
-    one trial of ContextArrays (leading axis 1), replaces the shared
-    randomness the key would build; the reference ops pass a
-    RandomnessContext this way."""
+    client's bits are its message's price, Scheme.message_bits, as
+    run_dme prices them. ctx, one trial of ContextArrays (leading axis
+    1), replaces the shared randomness the key would build; the
+    reference ops pass a RandomnessContext this way."""
     prep = _prepare(batch, scheme, k)
     values, idx, scales, clips, signs = _evaluate_chunk(
         prep, np.array([int(key) & MASK64], dtype=np.uint64), ctx
     )
+    bits = np.array(prep.scheme.message_bits(idx, prep.k)[0])
     scales = None if scales is None else scales[0]
-    indices = idx[0].T
-    tail = 64 if prep.scheme.scale_tail else 0
-    bits = bc.HEADER_BITS + tail + _code_lengths(prep)[indices].sum(axis=1)
-    return Round(prep.per_client(values, signs), indices, bits, scales, clips)
+    return Round(prep.per_client(values, signs), idx[0].T, bits, scales, clips)
+
+
+# Trial elements (trials x clients x coordinates) one engine call holds;
+# trades memory for speed without changing any reported value
+CHUNK_ELEMENTS = 1 << 21
 
 
 def run_dme(
@@ -634,67 +648,48 @@ def run_dme(
     *,
     k: int = 2,
     bit_trials: int = 2,
-    chunk_elements: int = 1 << 21,
 ) -> TrialReport:
     """Estimate the mean of one batch `trials` times and report the MSE.
 
     data is a ScalarBatch, a VectorBatch, or a SyntheticSpec (generated
     with a sub-seed of `seed`). Identical arguments give byte-identical
-    reports; chunk_elements trades memory for speed without changing any
-    reported value.
+    reports.
     """
-    if scheme not in SCHEME_TABLE:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if trials < 1 or bit_trials < 1:
         raise ValueError("need trials >= 1 and bit_trials >= 1")
     if isinstance(data, SyntheticSpec):
         batch = generate(data, derive_key(seed, "data"))
     else:
         batch = data
+    if scheme == "correlated-1bit" and k != 2:
+        raise ValueError("correlated-1bit fixes k = 2")
+    prep = _prepare(batch, scheme, k)
     if isinstance(batch, ScalarBatch):
-        if not SCHEME_TABLE[scheme].scalar_ok:
-            raise ValueError(f"{scheme} does not apply to scalar batches")
         realized_sigma = concentration_stats(batch).sigma_md
         true_mean = np.array([batch.mean()])
     else:
         realized_sigma = vector_concentration(batch)
         true_mean = batch.mean()
-    if scheme == "correlated-1bit" and k != 2:
-        raise ValueError("correlated-1bit fixes k = 2")
-    prep = _prepare(batch, scheme, k)
 
-    audit_n = min(bit_trials, trials)
-    lengths = _code_lengths(prep)
-    code_bits = 0  # payload bits of every trial, scale tails aside
-    per_trial = prep.n * prep.dp
-    chunk_trials = max(1, chunk_elements // per_trial)
-    base_key = np.uint64(derive_key(seed, "trial"))
-
+    seeds = trial_seeds(seed, trials)
+    chunk_trials = max(1, CHUNK_ELEMENTS // (prep.n * prep.dp))
+    total_bits = 0
     sq_parts: list[np.ndarray] = []
     est_parts: list[np.ndarray] = []
-    audit: list[tuple[int, np.ndarray, np.ndarray | None]] = []
     clip_total = 0
     for lo in range(0, trials, chunk_trials):
-        hi = min(lo + chunk_trials, trials)
-        seeds = child_keys(base_key, np.arange(lo, hi, dtype=np.uint64))
-        values, idx, scales, clips, signs = _evaluate_chunk(prep, seeds)
+        chunk = seeds[lo : lo + chunk_trials]
+        values, idx, scales, clips, signs = _evaluate_chunk(prep, chunk)
         est = prep.estimates(values, signs)
         clip_total += clips
-        if prep.scheme.gamma:
-            code_bits += int(np.bincount(idx.ravel(), minlength=prep.k) @ lengths)
-        else:
-            code_bits += idx.size * int(lengths[0])
+        bits = prep.scheme.message_bits(idx, prep.k)
+        total_bits += int(bits.sum())
+        for j in range(min(bit_trials - lo, len(chunk))):
+            trial_scales = None if scales is None else scales[j]
+            _audit_wire(prep, int(chunk[j]), idx[j], trial_scales, bits[j])
         err = est - true_mean
         sq_parts.append((err * err).sum(axis=-1))
         est_parts.append(est)
-        for j in range(min(audit_n - lo, hi - lo)):
-            audit.append(
-                (
-                    int(seeds[j]),
-                    np.array(idx[j]),
-                    None if scales is None else np.array(scales[j], dtype=float),
-                )
-            )
 
     sq = np.concatenate(sq_parts)
     est_all = np.concatenate(est_parts, axis=0)
@@ -706,10 +701,6 @@ def run_dme(
     bias_sq = float((bias * bias).sum())
     dev = est_all - mean_est
     mean_variance = float((dev * dev).sum() / trials)
-    _audit_wire(prep, audit, lengths)
-    messages = trials * prep.n
-    tail = 64 if prep.scheme.scale_tail else 0
-    bits = (messages * (bc.HEADER_BITS + tail) + code_bits) / messages
     return TrialReport(
         scheme=scheme,
         n=prep.n,
@@ -720,7 +711,7 @@ def run_dme(
         mse=mse,
         rmse=math.sqrt(mse),
         bias_sq=bias_sq,
-        bits_per_client=bits,
+        bits_per_client=total_bits / (trials * prep.n),
         stderr=stderr,
         mean_variance=mean_variance,
         clip_fraction=clip_total / (trials * prep.n * prep.dp),

@@ -42,6 +42,10 @@ Streams used by :func:`build_context` (all children of the master seed):
   the randomized level grid.
 * ``("rotation-sign",)``    one Rademacher sign per coordinate.
 
+One stream is not part of the context: ``("private", j)`` holds the
+per-client uniforms of coordinate j (counter = client index) for the
+schemes that round with private randomness (:func:`private_uniforms`).
+
 Monte Carlo trial t of a run seeded with s uses ``derive_key(s, "trial", t)``
 as its own master key, so trials are disjoint streams and can be generated
 independently or in vectorized blocks.
@@ -190,6 +194,15 @@ def rotation_signs(seeds: np.ndarray, d: int) -> np.ndarray:
     sign_key = mix64(root ^ _U64(fnv1a64("rotation-sign")))
     sign_bits = stream_u64(sign_key[..., None], np.arange(d, dtype=np.uint64)) >> 63
     return 1 - 2 * sign_bits.astype(np.int64)
+
+
+def private_uniforms(seeds: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The ``("private", j)`` streams: each seed's U[0,1) per-client
+    rounding uniforms, shape (..., d, n)."""
+    root = mix64(np.asarray(seeds, dtype=np.uint64))
+    key = mix64(root ^ _U64(fnv1a64("private")))
+    coord_keys = child_keys(key[..., None], np.arange(d, dtype=np.uint64))
+    return stream_uniform(coord_keys[..., None], np.arange(n, dtype=np.uint64))
 
 
 @dataclass

@@ -106,16 +106,16 @@ class ShardedDataset:
 class OptimizerConfig:
     """Knobs shared by the SGD-style tasks.
 
-    The step size is 1/(smoothness + 1/eta) unless lr is given
-    explicitly. radius_domain is the projection ball D; radius_grad is
-    the clip bound R applied to every client vector before quantization.
+    The step size is 1/(L + 1/eta) for the problem's smoothness L unless
+    lr is given explicitly. radius_domain is the projection ball D;
+    radius_grad is the clip bound R applied to every client vector
+    before quantization.
     """
 
     rounds: int
     scheme: str = "none"
     k: int = 2
     eta: float = 1.0
-    smoothness: float | None = None
     lr: float | None = None
     radius_domain: float = 10.0
     radius_grad: float = 1.0
@@ -139,8 +139,7 @@ class OptimizerConfig:
     def step_size(self, smoothness: float) -> float:
         if self.lr is not None:
             return self.lr
-        h = self.smoothness if self.smoothness is not None else smoothness
-        return 1.0 / (h + 1.0 / self.eta)
+        return 1.0 / (smoothness + 1.0 / self.eta)
 
 
 @dataclass(frozen=True)
@@ -196,10 +195,12 @@ def quantized_round(
 
     radius None uses the round's max client norm as the shared bound
     (side information, see the module docstring); an explicit radius
-    asserts every vector already fits inside it. bits_per_client is the
-    mean exact message size including the wire header. A round where
-    every client holds the zero vector transmits nothing beyond the
-    header (the ball is a single point) and decodes to exact zeros.
+    asserts every vector already fits inside it (VectorBatch rejects a
+    radius that is not positive and finite). bits_per_client is the mean
+    exact message size including the wire header. Without a radius, a
+    round where every client holds the zero vector transmits nothing
+    beyond the header (the ball is a single point) and decodes to exact
+    zeros.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
@@ -211,12 +212,14 @@ def quantized_round(
         return RoundResult(
             vectors.mean(axis=0), vectors, float(bc.HEADER_BITS + 64 * dim)
         )
-    norms = np.linalg.norm(vectors, axis=1)
-    bound = float(norms.max()) if radius is None else float(radius)
-    if bound == 0.0:
+    if radius is not None:
+        batch = VectorBatch(vectors, float(radius))
+    elif vectors.any():
+        batch = VectorBatch.from_vectors(vectors)
+    else:  # the ball is a single point
         zeros = np.zeros_like(vectors)
         return RoundResult(np.zeros(dim), zeros, float(bc.HEADER_BITS))
-    r = run_round(VectorBatch(vectors, bound), scheme, k, derive_key(seed, "ctx"))
+    r = run_round(batch, scheme, k, derive_key(seed, "ctx"))
     return RoundResult(r.per_client.mean(axis=0), r.per_client, float(r.bits.mean()))
 
 

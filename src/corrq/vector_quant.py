@@ -263,25 +263,8 @@ def cq_decode(indices, grid_offsets, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Payload builders
+# The float64 scale tail of the terngrad and rotate-sign payloads
 # ---------------------------------------------------------------------------
-
-
-def client_payloads(
-    indices_nd: np.ndarray, k: int, gamma: bool = False, scales=None
-) -> list[bc.BitStream]:
-    """Each client's payload, one per row of indices_nd: its indices at
-    ceil(log2 k) bits each (or zig-zag plus Elias gamma), then its float64
-    scale tail when scales (one per row) are given."""
-    if gamma:
-        bodies = [
-            bc.elias_gamma_encode_many(bc.zigzag_encode(row, k)) for row in indices_nd
-        ]
-    else:
-        bodies = bc.pack_fixed_rows(indices_nd, k)
-    if scales is None:
-        return bodies
-    return [append_scale_tail(body, float(s)) for body, s in zip(bodies, scales)]
 
 
 def append_scale_tail(stream: bc.BitStream, scale: float) -> bc.BitStream:
@@ -326,10 +309,7 @@ def _engine_report(
     from .harness import SCHEME_TABLE, run_round  # harness imports this module
 
     r = run_round(batch, scheme, k, key, None if ctx is None else ctx.arrays())
-    spec = SCHEME_TABLE[scheme]
-    payloads = client_payloads(r.indices, spec.wire_levels(k), spec.gamma, r.scales)
-    if any(bc.HEADER_BITS + p.length != b for p, b in zip(payloads, r.bits)):
-        raise RuntimeError(f"a {scheme} payload differs from its price")
+    payloads = SCHEME_TABLE[scheme].payloads(r.indices, k, r.scales, r.bits)
     return VectorQuantReport(
         scheme=scheme,
         estimate=r.per_client.mean(axis=0),

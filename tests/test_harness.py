@@ -10,7 +10,6 @@ import scipy.linalg
 from corrq import bitcodec as bc
 from corrq import harness as hz
 from corrq import scalar_quant as sq
-from corrq import vector_quant as vq
 from corrq.randomness import derive_key, trial_seeds
 from corrq.scalar_quant import ScalarBatch
 from corrq.vector_quant import VectorBatch
@@ -118,7 +117,7 @@ class TestGenerators:
 @pytest.mark.parametrize("scheme", hz.SCHEMES)
 def test_run_round_bits_are_the_serialized_payload_lengths(scheme):
     # run_round prices bits from the level indices without building a
-    # payload; client_payloads serializes them as the wire audit does
+    # payload; Scheme.payloads serializes them as the wire audit does
     spec = hz.SCHEME_TABLE[scheme]
     for n, d, k in ((2, 1, 2), (7, 13, 4), (30, 8, 16), (9, 20, 64)):
         rng = np.random.default_rng(100 * n + d)
@@ -127,12 +126,39 @@ def test_run_round_bits_are_the_serialized_payload_lengths(scheme):
             batches.append(ScalarBatch(rng.uniform(-1.0, 2.0, size=n), -1.0, 2.0))
         for batch in batches:
             r = hz.run_round(batch, scheme, k, n + d)
-            payloads = vq.client_payloads(
-                r.indices, spec.wire_levels(k), spec.gamma, r.scales
-            )
+            payloads = spec.payloads(r.indices, k, r.scales, r.bits)
             assert r.bits.dtype == np.int64
             want = [bc.HEADER_BITS + p.length for p in payloads]
             assert r.bits.tolist() == want, (scheme, n, d, k)
+            indices, scales = spec.decode(payloads, k)
+            assert np.array_equal(indices, r.indices)
+            assert (scales is None) == (r.scales is None)
+            assert r.scales is None or np.array_equal(scales, r.scales)
+            with pytest.raises(RuntimeError, match="differs from its price"):
+                spec.payloads(r.indices, k, r.scales, r.bits + 1)
+
+
+@pytest.mark.parametrize("scheme", hz.SCHEMES)
+def test_both_entry_points_check_scheme_and_input_kind(scheme):
+    # run_round once raised AttributeError or ran silently where run_dme
+    # raised ValueError
+    batch = ScalarBatch(np.array([0.2, 0.5, 0.9]), 0.0, 1.0)
+    k = 2 if scheme == "correlated-1bit" else 4
+    if hz.SCHEME_TABLE[scheme].scalar_ok:
+        assert hz.run_round(batch, scheme, k, 0).indices.shape == (3, 1)
+        assert hz.run_dme(batch, scheme, trials=3, seed=0, k=k).trials == 3
+    else:
+        with pytest.raises(ValueError, match="scalar batches"):
+            hz.run_round(batch, scheme, k, 0)
+        with pytest.raises(ValueError, match="scalar batches"):
+            hz.run_dme(batch, scheme, trials=3, seed=0, k=k)
+    vectors = VectorBatch.from_vectors(np.eye(3))
+    for call in (
+        lambda: hz.run_round(vectors, scheme + "-x", k, 0),
+        lambda: hz.run_dme(vectors, scheme + "-x", trials=3, seed=0, k=k),
+    ):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            call()
 
 
 class TestRunDme:
@@ -249,15 +275,18 @@ class TestRunDme:
             else:
                 assert rep.bits_per_client > 216  # entropy-cq is variable
 
-    def test_gamma_cost_is_priced_on_every_trial(self):
+    def test_gamma_cost_is_priced_on_every_trial(self, monkeypatch):
         # the price is exact, so the audited share cannot move it; auditing
         # every trial also checks every payload's length against it
         spec = hz.SyntheticSpec(kind="uniform-mean", n=20, d=64, sigma_md=0.01)
-        costs = {
-            hz.run_dme(spec, "entropy-cq", 30, 5, k=16, bit_trials=bt,
-                       chunk_elements=chunk).bits_per_client
-            for bt in (1, 2, 30) for chunk in (1 << 21, 1 << 11)
-        }
+        costs = set()
+        for chunk in (1 << 21, 1 << 11):
+            monkeypatch.setattr(hz, "CHUNK_ELEMENTS", chunk)
+            costs |= {
+                hz.run_dme(spec, "entropy-cq", 30, 5, k=16, bit_trials=bt)
+                .bits_per_client
+                for bt in (1, 2, 30)
+            }
         assert len(costs) == 1
 
     def test_exact_batches_have_zero_error_and_nonnegative_variance(self):
@@ -277,15 +306,13 @@ class TestRunDme:
         rep = hz.run_dme(batch, "correlated-klevel", trials=20_000, seed=3, k=4)
         assert rep.bias_sq < 16 * rep.mean_variance / 20_000
 
-    def test_reproducible_and_chunk_invariant(self):
+    def test_reproducible_and_chunk_invariant(self, monkeypatch):
         rng = np.random.default_rng(5)
         batch = VectorBatch.from_vectors(rng.normal(size=(8, 8)))
         a = hz.run_dme(batch, "hadamard-cq", trials=300, seed=99, k=4)
         b = hz.run_dme(batch, "hadamard-cq", trials=300, seed=99, k=4)
-        c = hz.run_dme(
-            batch, "hadamard-cq", trials=300, seed=99, k=4,
-            chunk_elements=1 << 8,
-        )
+        monkeypatch.setattr(hz, "CHUNK_ELEMENTS", 1 << 8)
+        c = hz.run_dme(batch, "hadamard-cq", trials=300, seed=99, k=4)
         assert a == b == c
 
     def test_synthetic_spec_input_equals_pregenerated_batch(self):
