@@ -130,10 +130,10 @@ class Scheme(NamedTuple):
 
     @property
     def randomness(self) -> str:
-        """What one round reads: the whole shared "context" (permutations,
-        offsets, level grid and rotation signs), the rotation "signs"
-        only, or the counter-based "private" rounding stream (plus the
-        signs when rotated)."""
+        """What one round reads: the shared "context" (permutations and
+        offsets, the level grid when k > 2 and the rotation signs when
+        rotated), the rotation "signs" only, or the counter-based
+        "private" rounding stream (plus the signs when rotated)."""
         return {"correlated": "context", "sign": "signs"}.get(self.rule, "private")
 
 
@@ -557,7 +557,9 @@ def _evaluate_chunk(
     """
     spec = prep.scheme
     if ctx is None and spec.randomness == "context":
-        ctx = build_context_arrays(seeds, prep.n, prep.dp, prep.k)
+        ctx = build_context_arrays(
+            seeds, prep.n, prep.dp, prep.k, grid=prep.k > 2, signs=spec.rotated
+        )
     if spec.rule == "ternary":
         priv = private_uniforms(seeds, prep.d, prep.n)
         trits = np.where(priv < prep.tern_prob, prep.tern_sign, 0.0)
@@ -635,9 +637,11 @@ def run_round(
     return Round(prep.per_client(values, signs), idx[0].T, bits, scales, clips)
 
 
-# Trial elements (trials x clients x coordinates) one engine call holds;
-# trades memory for speed without changing any reported value
-CHUNK_ELEMENTS = 1 << 21
+# Trial elements (trials x clients x coordinates) one engine call holds,
+# at least one trial: 1 MB per float64 or uint64 working array, so a chunk
+# stays near a core's L2 cache. The engine is bound by memory traffic, and
+# no reported value depends on the chunking (counter-based streams).
+CHUNK_ELEMENTS = 1 << 17
 
 
 def run_dme(

@@ -46,6 +46,12 @@ One stream is not part of the context: ``("private", j)`` holds the
 per-client uniforms of coordinate j (counter = client index) for the
 schemes that round with private randomness (:func:`private_uniforms`).
 
+:func:`build_context_arrays` computes these keys together, not one by
+one: the four label keys in one ``mix64`` over a (..., 4) array, and the
+permutation and offset keys of every coordinate in one more. The values
+are the ones the derivation above defines. It can skip the grid offsets
+and the rotation signs, which no other stream depends on.
+
 Monte Carlo trial t of a run seeded with s uses ``derive_key(s, "trial", t)``
 as its own master key, so trials are disjoint streams and can be generated
 independently or in vectorized blocks.
@@ -66,22 +72,32 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 _U64 = np.uint64
+_SHIFTS = (_U64(30), _U64(27), _U64(31))
+_MULS = (_U64(_MUL1), _U64(_MUL2))
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
-    return _mix64_inplace(np.array(x, dtype=np.uint64))
+    return _mix64_inplace(np.array(x, dtype=np.uint64))[()]
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """mix64 computed in z's own buffer; z must be a uint64 array."""
-    with np.errstate(over="ignore"):
-        z ^= z >> 30
-        z *= _U64(_MUL1)
-        z ^= z >> 27
-        z *= _U64(_MUL2)
-        z ^= z >> 31
-    return z[()]
+    """mix64 computed in z's own buffer; z must be a uint64 ndarray.
+
+    In-place ufuncs wrap silently on any ndarray, 0-d included: only
+    arithmetic between numpy scalars warns on overflow, and this module
+    does none, so no np.errstate is needed.
+    """
+    tmp = np.empty_like(z)  # one scratch buffer for the three shifts
+    np.right_shift(z, _SHIFTS[0], out=tmp)
+    z ^= tmp
+    z *= _MULS[0]
+    np.right_shift(z, _SHIFTS[1], out=tmp)
+    z ^= tmp
+    z *= _MULS[1]
+    np.right_shift(z, _SHIFTS[2], out=tmp)
+    z ^= tmp
+    return z
 
 
 def mix64_int(x: int) -> int:
@@ -99,6 +115,22 @@ def fnv1a64(label: str) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & MASK64
     return h
+
+
+# FNV-1a hashes of the context's stream labels, in ContextArrays order
+_CONTEXT_LABELS = np.array(
+    [fnv1a64(label) for label in
+     ("permutation", "client-offset", "grid-offset", "rotation-sign")],
+    dtype=np.uint64,
+)
+_SIGN_LABEL = _CONTEXT_LABELS[3:]
+_PRIVATE_LABEL = np.array([fnv1a64("private")], dtype=np.uint64)
+
+
+def _stream_keys(seeds: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """derive_key(seed, label) for every seed and label, (..., len(labels)):
+    one mix64 over the root keys and one over all the labels."""
+    return child_keys(mix64(seeds)[..., None], labels)
 
 
 def _encode_part(part: str | int) -> int:
@@ -124,11 +156,10 @@ def child_keys(key: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def stream_u64(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Random-access stream values mix64(key + (counter+1)*GOLDEN)."""
-    key_arr = np.asarray(key, dtype=np.uint64)
-    ctr = np.asarray(counters, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = key_arr + (ctr + _U64(1)) * _U64(GOLDEN)
-    return _mix64_inplace(np.asarray(state))
+    state = np.array(counters, dtype=np.uint64)
+    state += _U64(1)
+    state *= _U64(GOLDEN)
+    return _mix64_inplace(np.asarray(state + np.asarray(key, dtype=np.uint64)))[()]
 
 
 def stream_uniform(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -144,64 +175,64 @@ class ContextArrays(NamedTuple):
     """Raw context arrays with an arbitrary leading batch shape.
 
     Layouts are kernel-friendly: permutations and offset units are
-    (..., d, n); grid offsets and rotation signs are (..., d).
+    (..., d, n); grid offsets and rotation signs are (..., d). A stream
+    build_context_arrays was told not to build is None.
     """
 
     permutations: np.ndarray
     offset_units: np.ndarray
-    grid_offsets: np.ndarray
-    rotation_signs: np.ndarray
+    grid_offsets: np.ndarray | None
+    rotation_signs: np.ndarray | None
 
 
-def build_context_arrays(seeds: np.ndarray, n: int, d: int, k: int) -> ContextArrays:
+def build_context_arrays(
+    seeds: np.ndarray, n: int, d: int, k: int, *, grid: bool = True,
+    signs: bool = True,
+) -> ContextArrays:
     """Build context arrays for each seed in ``seeds`` (any shape).
 
     This is the single source of the randomness layout: build_context is
     the shape-() specialization, and the Monte Carlo engine passes a
     vector of per-trial keys. The arrays for seeds[t] are identical to the
-    ones build_context(int(seeds[t]), n, d, k) produces.
+    ones build_context(int(seeds[t]), n, d, k) produces. grid=False and
+    signs=False skip the grid offsets and the rotation signs, for the
+    schemes that read neither; no other stream depends on them.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    root = mix64(seeds)
+    keys = _stream_keys(seeds, _CONTEXT_LABELS)
     coords = np.arange(d, dtype=np.uint64)
     clients = np.arange(n, dtype=np.uint64)
-
-    perm_keys = child_keys(
-        mix64(root ^ _U64(fnv1a64("permutation")))[..., None], coords
-    )
-    perm_raw = stream_u64(perm_keys[..., None], clients)
+    # the permutation and client-offset keys of every coordinate at once
+    coord_keys = child_keys(keys[..., :2, None], coords)
+    perm_raw = stream_u64(coord_keys[..., 0, :, None], clients)
     # no ties within a row (see the module docstring), so the fast
     # unstable sort gives the stable sort's permutation
     permutations = np.argsort(perm_raw, axis=-1)
-
-    offset_keys = child_keys(
-        mix64(root ^ _U64(fnv1a64("client-offset")))[..., None], coords
-    )
-    offset_units = stream_uniform(offset_keys[..., None], clients)
-
-    grid_key = mix64(root ^ _U64(fnv1a64("grid-offset")))
-    grid_offsets = (stream_uniform(grid_key[..., None], coords) - 1.0) / k
-
+    offset_units = stream_uniform(coord_keys[..., 1, :, None], clients)
+    grid_offsets = None
+    if grid:
+        grid_offsets = (stream_uniform(keys[..., 2, None], coords) - 1.0) / k
     return ContextArrays(
-        permutations, offset_units, grid_offsets, rotation_signs(seeds, d)
+        permutations, offset_units, grid_offsets,
+        _signs(keys[..., 3], d) if signs else None,
     )
+
+
+def _signs(sign_keys: np.ndarray, d: int) -> np.ndarray:
+    sign_bits = stream_u64(sign_keys[..., None], np.arange(d, dtype=np.uint64)) >> 63
+    return 1 - 2 * sign_bits.astype(np.int64)
 
 
 def rotation_signs(seeds: np.ndarray, d: int) -> np.ndarray:
     """The ``("rotation-sign",)`` stream alone: each seed's Rademacher
     signs (..., d), for the schemes that read nothing else of a context."""
-    root = mix64(np.asarray(seeds, dtype=np.uint64))
-    sign_key = mix64(root ^ _U64(fnv1a64("rotation-sign")))
-    sign_bits = stream_u64(sign_key[..., None], np.arange(d, dtype=np.uint64)) >> 63
-    return 1 - 2 * sign_bits.astype(np.int64)
+    return _signs(_stream_keys(seeds, _SIGN_LABEL)[..., 0], d)
 
 
 def private_uniforms(seeds: np.ndarray, d: int, n: int) -> np.ndarray:
     """The ``("private", j)`` streams: each seed's U[0,1) per-client
     rounding uniforms, shape (..., d, n)."""
-    root = mix64(np.asarray(seeds, dtype=np.uint64))
-    key = mix64(root ^ _U64(fnv1a64("private")))
-    coord_keys = child_keys(key[..., None], np.arange(d, dtype=np.uint64))
+    key = _stream_keys(seeds, _PRIVATE_LABEL)
+    coord_keys = child_keys(key, np.arange(d, dtype=np.uint64))
     return stream_uniform(coord_keys[..., None], np.arange(n, dtype=np.uint64))
 
 

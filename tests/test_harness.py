@@ -315,6 +315,19 @@ class TestRunDme:
         c = hz.run_dme(batch, "hadamard-cq", trials=300, seed=99, k=4)
         assert a == b == c
 
+    @pytest.mark.parametrize("scheme", hz.SCHEMES)
+    def test_default_chunking_matches_one_chunk(self, scheme, monkeypatch):
+        # 20 trials of 50 x 300 span several engine calls at the default
+        # budget, the audited trials too; one call must report the same
+        spec = hz.SyntheticSpec(kind="uniform-mean", n=50, d=300, sigma_md=0.02)
+        k = 2 if scheme == "correlated-1bit" else 8
+        assert 20 * 50 * 300 > 2 * hz.CHUNK_ELEMENTS
+        chunked = hz.run_dme(spec, scheme, 20, 17, k=k, bit_trials=10)
+        monkeypatch.setattr(hz, "CHUNK_ELEMENTS", 1 << 40)
+        whole = hz.run_dme(spec, scheme, 20, 17, k=k, bit_trials=10)
+        assert hz.reports_to_csv([chunked]) == hz.reports_to_csv([whole])
+        assert chunked == whole
+
     def test_synthetic_spec_input_equals_pregenerated_batch(self):
         spec = hz.SyntheticSpec(kind="uniform-mean", n=10, d=4, sigma_md=0.02)
         via_spec = hz.run_dme(spec, "correlated-1bit", trials=50, seed=8)

@@ -1,5 +1,8 @@
 """Deterministic stream and context construction checks."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from corrq.randomness import (
     GOLDEN,
+    MASK64,
     build_context,
     build_context_arrays,
     child_keys,
@@ -14,6 +18,8 @@ from corrq.randomness import (
     fnv1a64,
     mix64,
     mix64_int,
+    private_uniforms,
+    rotation_signs,
     stream_u64,
     stream_uniform,
     trial_seeds,
@@ -190,3 +196,58 @@ def test_permutation_is_the_stable_argsort_of_its_stream():
     assert np.array_equal(
         arrays.permutations, np.argsort(raw, axis=-1, kind="stable")
     )
+
+
+# sha256 prefixes of the streams as first released, for 0-d, (C,) and
+# (C, 2) seeds over n, d in {1, 2, 33, 1024}; any derivation or layout
+# change shows up here
+PINNED = {
+    "0d": ("9ff66389c1f287e6", "ccef5ecde4f40318", "0dbc735cc704b87d"),
+    "C": ("6a90ae90c6ace255", "eb6e61cd2fef0519", "1d8a26f007139085"),
+    "C2": ("714f86ca322a73af", "73425ad65b153f34", "2172754b7847c89c"),
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_streams_match_pinned_hashes(name):
+    seeds = {
+        "0d": np.uint64(0x0123456789ABCDEF),
+        "C": np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+        "C2": trial_seeds(11, 4).reshape(2, 2),
+    }[name]
+    sizes = (1, 2, 33, 1024)
+    ctx, signs, priv = [], [], []
+    for n in sizes:
+        for d in sizes:
+            ctx.extend(build_context_arrays(seeds, n, d, 4))
+            priv.append(private_uniforms(seeds, d, n))
+        signs.append(rotation_signs(seeds, n))
+    assert (_digest(ctx), _digest(signs), _digest(priv)) == PINNED[name]
+
+
+def test_skipped_streams_leave_the_others_unchanged():
+    seeds = trial_seeds(3, 5)
+    full = build_context_arrays(seeds, 7, 9, 4)
+    part = build_context_arrays(seeds, 7, 9, 4, grid=False, signs=False)
+    assert part.grid_offsets is None and part.rotation_signs is None
+    assert np.array_equal(part.permutations, full.permutations)
+    assert np.array_equal(part.offset_units, full.offset_units)
+    assert np.array_equal(rotation_signs(seeds, 9), full.rotation_signs)
+
+
+def test_scalar_paths_do_not_warn_on_wraparound():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert int(mix64(np.uint64(MASK64))) == mix64_int(MASK64)
+        got = stream_u64(np.uint64(MASK64), np.uint64(MASK64))
+        assert int(got) == mix64_int(MASK64 + (MASK64 + 1) * GOLDEN)
+        build_context(MASK64, n=2)

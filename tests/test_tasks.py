@@ -82,6 +82,25 @@ class TestQuantizedRound:
         assert r.bits_per_client == 216
         assert not r.estimate.any()
 
+    def test_zero_round_with_explicit_radius_is_unbiased_noise(self):
+        # an explicit radius runs the full quantizer on all-zero vectors:
+        # full price, and an estimate that is zero only on average
+        zeros = np.zeros((4, 3))
+        price = 216 + 3 * 2  # header plus three 2-bit indices at k = 4
+        est = []
+        for seed in range(1000):
+            r = tk.quantized_round(zeros, "correlated-klevel", 4, seed, radius=1.0)
+            assert r.bits_per_client == price
+            est.append(r.estimate)
+        est = np.array(est)
+        assert np.abs(est).max() > 0
+        stderr = est.std(axis=0, ddof=1) / np.sqrt(len(est))
+        assert np.all(np.abs(est.mean(axis=0)) < 4 * stderr)
+        # without a radius the ball is a point: exact zeros, header only
+        r = tk.quantized_round(zeros, "correlated-klevel", 4, 0)
+        assert r.bits_per_client == 216
+        assert not r.estimate.any() and not r.per_client.any()
+
     def test_explicit_radius_changes_grid(self):
         rng = np.random.default_rng(2)
         vecs = rng.normal(size=(6, 4))
@@ -255,6 +274,16 @@ class TestSgd:
         prob = tk.logistic_problem_fixture(seed=6)
         w_star, f_star = prob.solve_optimum(10.0)
         assert np.linalg.norm(prob.gradient(w_star)) < 1e-6
+        assert f_star == pytest.approx(prob.value(w_star))
+
+    def test_logistic_reference_solve_falls_back_inside_the_ball(self):
+        # an optimum outside the ball is left to projected gradient, which
+        # stops on the sphere with the gradient pointing straight inward
+        prob = tk.logistic_problem_fixture(n_clients=2, per_client=50, seed=6)
+        w_star, f_star = prob.solve_optimum(1.0)
+        g = prob.gradient(w_star)
+        assert np.linalg.norm(w_star) == pytest.approx(1.0)
+        assert -(g @ w_star) / np.linalg.norm(g) == pytest.approx(1.0, abs=1e-9)
         assert f_star == pytest.approx(prob.value(w_star))
 
     def test_config_step_size(self):
