@@ -314,6 +314,8 @@ def distributed_kmeans(
     """
     if centers < 1 or rounds < 1:
         raise ValueError("need centers >= 1 and rounds >= 1")
+    if k < 2:
+        raise ValueError("need k >= 2")
     pooled = data.stacked()
     if centers > pooled.shape[0]:
         raise ValueError(f"{centers} centers but only {pooled.shape[0]} points")
@@ -356,13 +358,43 @@ def distributed_kmeans(
 # ---------------------------------------------------------------------------
 
 
-def top_eigenvector(data: ShardedDataset) -> tuple[np.ndarray, float, float]:
-    """Central reference: top eigenvector of (1/N) X^T X and the top two
-    eigenvalues."""
+_POWER_STEPS = 50  # matrix-vector products before falling back to eigh
+_ANGLE_EPS = 16  # accepted sine of the angle to v1, in machine epsilons
+
+
+def top_eigenvector(data: ShardedDataset) -> tuple[np.ndarray, float]:
+    """Central reference: the top eigenvector v1 of A = (1/N) X^T X and
+    its eigenvalue lambda1.
+
+    Power iteration on the pooled data, v <- X^T (X v) / N, without
+    forming A (Golub and Van Loan, Matrix Computations, sec. 8.2). The
+    start vector is pseudo-random and depends on d only. With Rayleigh
+    quotient lam = v.Av <= lambda1 and A positive semidefinite,
+    lambda2 <= trace(A) - lambda1 <= trace(A) - lam, so every other
+    eigenvalue is at least 2 lam - trace(A) below lam. By Davis-Kahan
+    sin(angle(v, v1)) <= ||Av - lam v|| / (2 lam - trace(A)), and v is
+    accepted once that bound is below 16 eps. Spectra that give no such
+    gap (a repeated or nearly repeated top eigenvalue, or lambda1 at most
+    half the trace) and iterations that take more than 50 products fall
+    back to a full eigh of A.
+    """
     pooled = data.stacked()
-    cov = pooled.T @ pooled / pooled.shape[0]
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    return eigvecs[:, -1], float(eigvals[-1]), float(eigvals[-2] if len(eigvals) > 1 else 0.0)
+    n_points, d = pooled.shape
+    trace = float(np.einsum("ij,ij->", pooled, pooled)) / n_points
+    tol = _ANGLE_EPS * np.finfo(np.float64).eps
+    v = np.random.default_rng(derive_key(0, "power-reference", d)).normal(size=d)
+    v /= np.linalg.norm(v)
+    for _ in range(_POWER_STEPS):
+        w = pooled.T @ (pooled @ v) / n_points
+        lam = float(v @ w)
+        residual = float(np.linalg.norm(w - lam * v))
+        if residual < tol * (2 * lam - trace):
+            return v, lam
+        if residual <= tol * lam and 2 * lam <= trace:
+            break  # converged (w = 0 included), but no gap can be certified
+        v = w / np.linalg.norm(w)
+    eigvals, eigvecs = np.linalg.eigh(pooled.T @ pooled / n_points)
+    return eigvecs[:, -1], float(eigvals[-1])
 
 
 def subspace_error(v: np.ndarray, v_star: np.ndarray) -> float:
@@ -383,14 +415,15 @@ def distributed_power_iteration(
     Client i sends (n/N) X_i^T (X_i v_t) so the plain client mean equals
     A v_t; the server aggregates with the chosen scheme and normalizes.
     The metric per round is the sign-invariant subspace error against
-    the centrally computed eigenvector.
+    the centrally computed eigenvector (top_eigenvector).
     """
     if rounds < 1:
         raise ValueError("need rounds >= 1")
-    pooled = data.stacked()
-    if not np.any(pooled):
+    if k < 2:
+        raise ValueError("need k >= 2")
+    if not any(shard.any() for shard in data.shards):
         raise DegenerateInputError("all data points are zero")
-    v_star, _, _ = top_eigenvector(data)
+    v_star, _ = top_eigenvector(data)
     n, total = data.n_clients, data.total_points
 
     rng = np.random.default_rng(derive_key(seed, "power-init"))

@@ -75,8 +75,54 @@ class VectorBatch:
         """Coordinate-wise mean, pivot-shifted so identical clients give
         back their common vector exactly (see ScalarBatch.mean)."""
         pivot = self.vectors[0]
-        devs = self.vectors - pivot
-        return pivot + np.array([math.fsum(col) for col in devs.T]) / self.n
+        return pivot + _column_fsums(self.vectors - pivot) / self.n
+
+
+def _column_fsums(x: np.ndarray) -> np.ndarray:
+    """[math.fsum(col) for col in x.T] bit for bit, by array passes.
+
+    A pairwise TwoSum reduction over the rows (Ogita, Rump and Oishi,
+    "Accurate sum and dot product", SIAM J. Sci. Comput. 2005) splits
+    each column's exact sum into a high part and the sum of every
+    rounding error. Inputs and errors are all multiples of u, the
+    column's finest ulp, and the errors total at most n eps sum|x|; while
+    that is at most 2^53 u every partial sum of the errors is exact, so
+    high + low is the correctly rounded sum, as fsum returns. Columns
+    without that certificate (n sum|x| overflowing included) go through
+    math.fsum, so fsum's OverflowError comes out unchanged.
+    """
+    n = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.abs(x)
+        bound = n * mag.sum(axis=0)
+        finest = mag.min(axis=0, where=mag > 0, initial=np.inf)
+        exponent = np.frexp(np.where(np.isfinite(finest), finest, 1.0))[1]
+        # u = 2**max(exponent - 53, -1074); certified when n eps sum|x| <= 2**53 u
+        certified = np.isfinite(bound) & (
+            bound <= np.ldexp(1.0, np.maximum(exponent + 52, -969))
+        )
+        high = mag  # the reduction runs on a copy of x, in mag's memory
+        np.copyto(high, x)
+        low = np.zeros(x.shape[1])
+        rows = n
+        while rows > 1:  # Knuth's TwoSum: a + b = s + err exactly
+            half = rows // 2
+            a, b = high[:half], high[half : 2 * half]
+            s = a + b
+            err = s - a  # b's share of s
+            b -= err  # b's rounding error
+            np.subtract(s, err, out=err)  # a's share of s
+            np.subtract(a, err, out=err)  # a's rounding error
+            err += b
+            low += err.sum(axis=0)
+            a[...] = s
+            if rows % 2:
+                high[half] = high[rows - 1]
+            rows -= half
+        sums = (high[0] + low) + 0.0  # fsum gives +0.0 for an exact zero
+    for j in np.flatnonzero(~certified):
+        sums[j] = math.fsum(x[:, j])
+    return sums
 
 
 def vector_concentration(batch: VectorBatch) -> float:

@@ -252,6 +252,13 @@ class TestTasks:
         assert len(lines) == 3
         assert 0.0 <= float(lines[-1].split(",")[1]) <= 1.0
 
+    @pytest.mark.parametrize("command", ["kmeans", "power", "sgd", "fedavg"])
+    def test_one_level_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--k", "1", "--rounds", "1")
+        assert code == 2
+        assert out == ""
+        assert "need k >= 2" in err
+
 
 def test_entrypoint_raises_system_exit(monkeypatch, capsys):
     monkeypatch.setattr(

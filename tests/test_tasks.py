@@ -146,6 +146,18 @@ class TestKmeans:
             tk.distributed_kmeans(blob_data, centers=10_000, rounds=1,
                                   scheme="none", seed=0)
 
+    def test_one_level_is_rejected_before_initialization(
+        self, blob_data, monkeypatch
+    ):
+        def no_init(*args):
+            raise AssertionError("k-means++ ran before the k check")
+
+        monkeypatch.setattr(tk, "_kmeans_pp_init", no_init)
+        for scheme in ("none", "correlated-klevel"):
+            with pytest.raises(ValueError, match="need k >= 2"):
+                tk.distributed_kmeans(blob_data, centers=2, rounds=1,
+                                      scheme=scheme, seed=0, k=1)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -215,6 +227,95 @@ class TestPowerIteration:
                 tk.ShardedDataset((np.zeros((4, 3)),)), rounds=2,
                 scheme="none", seed=0,
             )
+
+    def test_one_level_is_rejected_before_the_reference(self, monkeypatch):
+        def no_reference(data):
+            raise AssertionError("reference computed before the k check")
+
+        monkeypatch.setattr(tk, "top_eigenvector", no_reference)
+        for scheme in ("none", "correlated-klevel"):
+            with pytest.raises(ValueError, match="need k >= 2"):
+                tk.distributed_power_iteration(
+                    self._spectral_shards(), rounds=1, scheme=scheme, seed=0,
+                    k=1,
+                )
+
+
+def _eigh_reference(data):
+    pooled = data.stacked()
+    eigvals, eigvecs = np.linalg.eigh(pooled.T @ pooled / pooled.shape[0])
+    return eigvecs[:, -1], eigvals[-1]
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts the eigh calls made through np.linalg while a test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+class TestTopEigenvector:
+    @pytest.mark.parametrize("name", [
+        "mnist-0", "mnist-1", "mnist-2", "mnist-3", "two-blob",
+    ])
+    def test_power_iteration_matches_eigh(self, name, eigh_calls):
+        if name == "two-blob":
+            data = tk.two_blob_fixture()
+        else:
+            data, _ = tk.mnist_like_fixture(seed=int(name[-1]))
+        want_v, want_lam = _eigh_reference(data)
+        eigh_calls.clear()
+        v, lam = tk.top_eigenvector(data)
+        assert eigh_calls == []  # accepted without the fallback
+        assert 1.0 - np.dot(v, want_v) ** 2 <= 1e-13
+        assert abs(lam - want_lam) <= 1e-12 * want_lam
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+
+    @staticmethod
+    def _check_top(data, v, lam):
+        pooled = data.stacked()
+        cov = pooled.T @ pooled / pooled.shape[0]
+        top = np.linalg.eigvalsh(cov)[-1]
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        assert abs(lam - top) <= 1e-12 * top
+        assert np.linalg.norm(cov @ v - top * v) <= 1e-12 * top
+
+    def test_repeated_top_eigenvalue_falls_back_to_eigh(self, eigh_calls):
+        # rows +-e_j make X^T X / N = I / 4: every unit vector has residual
+        # zero, but no gap to the rest of the spectrum can be certified
+        eye = np.eye(4)
+        data = tk.ShardedDataset((np.vstack([eye, -eye]),))
+        v, lam = tk.top_eigenvector(data)
+        assert eigh_calls == [(4, 4)]
+        assert lam == pytest.approx(0.25, rel=1e-15)
+        self._check_top(data, v, lam)
+
+    def test_nearly_repeated_top_eigenvalue_falls_back_to_eigh(
+        self, eigh_calls
+    ):
+        spectrum = np.array([1.0, 0.999, 0.1, 0.05, 0.01])
+        q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(5, 5)))
+        # five rows whose second-moment matrix is q diag(spectrum) q^T
+        rows = np.diag(np.sqrt(5 * spectrum)) @ q.T
+        data = tk.ShardedDataset((rows,))
+        v, lam = tk.top_eigenvector(data)
+        assert eigh_calls == [(5, 5)]
+        assert 1.0 - np.dot(v, q[:, 0]) ** 2 <= 1e-13
+        self._check_top(data, v, lam)
+
+    def test_one_dimension(self, eigh_calls):
+        data = tk.ShardedDataset((np.array([[3.0], [-1.0]]), np.array([[2.0]])))
+        v, lam = tk.top_eigenvector(data)
+        assert eigh_calls == []
+        assert abs(v[0]) == 1.0
+        assert lam == pytest.approx(14.0 / 3.0, rel=1e-15)
 
 
 class TestSgd:

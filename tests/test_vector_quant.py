@@ -2,6 +2,7 @@
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,6 +100,65 @@ class TestVectorBatch:
     def test_concentration(self):
         b = vq.VectorBatch(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1.0)
         assert vq.vector_concentration(b) == 1.0
+
+
+def _column(rng, n, kind):
+    """One test column of n floats of the given kind."""
+    signs = rng.choice([-1.0, 1.0], size=n)
+    if kind == "spread":  # exponents over a window anywhere in the range
+        span = int(rng.integers(1, 80))
+        low = int(rng.integers(-1074, 1025 - span))
+        exps = rng.integers(low, low + span, size=n)
+        col = signs * np.ldexp(rng.uniform(0.5, 1.0, size=n), exps)
+        col[rng.random(n) < 0.2] = 0.0
+        col[rng.random(n) < 0.2] = -0.0
+        return col
+    if kind == "constant":
+        value = rng.choice([0.0, -0.0, 1.0, -3.5, 1e-310, 2.0**-1074, 1e300])
+        return np.full(n, value)
+    if kind == "mixed":  # tiny beside O(1): the certificate fails
+        return signs * np.where(rng.random(n) < 0.5, 1e-300, 1.0)
+    if kind == "huge":  # same-sign values near the top: fsum overflows
+        return np.ldexp(rng.uniform(0.5, 1.0, size=n), 1024) * signs[0]
+    if kind == "cancelling":  # near the top, alternating in sign
+        return np.ldexp(np.resize([1.0, -1.0], n), 1023)
+    return rng.normal(size=n) + 0.3  # "normal"
+
+
+def test_column_sums_equal_fsum_bit_for_bit():
+    paths = {"fast": 0, "fsum": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 150),
+        kinds=st.lists(
+            st.sampled_from(
+                ["spread", "constant", "mixed", "huge", "cancelling", "normal"]
+            ),
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([_column(rng, n, kind) for kind in kinds])
+        try:
+            want = np.array([math.fsum(col) for col in x.T])
+        except OverflowError:
+            want = OverflowError
+        with mock.patch.object(vq.math, "fsum", wraps=math.fsum) as spy:
+            if want is OverflowError:
+                with pytest.raises(OverflowError):
+                    vq._column_fsums(x)
+                return
+            got = vq._column_fsums(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        paths["fsum"] += spy.call_count
+        paths["fast"] += x.shape[1] - spy.call_count
+
+    check()
+    assert paths["fast"] > 0 and paths["fsum"] > 0, paths
 
 
 class TestRotation:
