@@ -5,10 +5,13 @@ deterministic streams every client derives from one shared seed.
 `scalar_quant` and `vector_quant` hold the quantizers themselves, from
 the one-bit correlated scheme up to the rotated pipelines and the
 independent baselines. `bitcodec` defines the exact wire format.
-`harness` measures estimation error against the guaranteed ceilings and
-floors, `tasks` runs distributed computations (k-means, power iteration,
-SGD, federated averaging) on top of the same primitive, and `cli` ties
-it together as the `corrq` command.
+`harness` runs every scheme on one engine: `run_round` is one quantized
+round, which every single-round op (`one_bit_cq`, ..., `ternary_quantize`)
+calls and returns as a `harness.Round`, and `run_dme` measures estimation
+error over many trials against the guaranteed ceilings and floors.
+`tasks` runs distributed computations (k-means, power iteration, SGD,
+federated averaging) on top of the same primitive, and `cli` ties it
+together as the `corrq` command.
 """
 
 from .bitcodec import (
@@ -62,15 +65,12 @@ from .tasks import (
     quantized_round,
 )
 from .vector_quant import (
-    RotationSpec,
     VectorBatch,
     correlated_vector_cq,
     entropy_cq,
     fwht,
-    hadamard_rotate,
     independent_vector_sq,
     rotate_sign_baseline,
-    rotation_for,
     ternary_quantize,
     vector_concentration,
     walsh_hadamard_cq,
@@ -84,7 +84,6 @@ __all__ = [
     "MalformedStreamError",
     "OptimizerConfig",
     "RandomnessContext",
-    "RotationSpec",
     "SCHEMES",
     "ScalarBatch",
     "SgdProblem",
@@ -109,7 +108,6 @@ __all__ = [
     "fwht",
     "generate",
     "hadamard_bias_bound",
-    "hadamard_rotate",
     "independent_sq",
     "independent_vector_sq",
     "k_level_cq",
@@ -123,7 +121,6 @@ __all__ = [
     "quantized_round",
     "reports_to_csv",
     "rotate_sign_baseline",
-    "rotation_for",
     "run_dme",
     "sweep",
     "ternary_quantize",

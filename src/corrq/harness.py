@@ -31,6 +31,7 @@ from . import bitcodec as bc
 from .randomness import (
     MASK64,
     ContextArrays,
+    RandomnessContext,
     build_context_arrays,
     derive_key,
     private_uniforms,
@@ -618,19 +619,37 @@ class Round(NamedTuple):
     scales: np.ndarray | None       # the scale tail's values (n,)
     clips: int
 
+    @property
+    def estimate(self) -> np.ndarray:
+        """The server's mean of the decoded clients, (d,)."""
+        return self.per_client.mean(axis=0)
+
 
 def run_round(
     batch: ScalarBatch | VectorBatch, scheme: str, k: int, key: int,
-    ctx: ContextArrays | None = None,
+    ctx: RandomnessContext | None = None,
 ) -> Round:
     """The engine at one trial keyed `key` (reduced mod 2**64). Each
     client's bits are its message's price, Scheme.message_bits, as
-    run_dme prices them. ctx, one trial of ContextArrays (leading axis
-    1), replaces the shared randomness the key would build; the
-    reference ops pass a RandomnessContext this way."""
+    run_dme prices them. ctx, a caller's shared randomness, replaces the
+    shared streams the key would build (private rounding still comes from
+    the key); it must have the round's n and its (padded) d, and for the
+    correlated rule its wire k, or ValueError is raised."""
     prep = _prepare(batch, scheme, k)
+    arrays = None
+    if ctx is not None:
+        want = {"n": prep.n, "d": prep.dp}
+        if prep.scheme.rule == "correlated":
+            want["k"] = prep.k
+        for name, value in want.items():
+            if getattr(ctx, name) != value:
+                raise ValueError(
+                    f"{scheme} round needs a context with {name}={value}, "
+                    f"got {name}={getattr(ctx, name)}"
+                )
+        arrays = ctx.arrays()
     values, idx, scales, clips, signs = _evaluate_chunk(
-        prep, np.array([int(key) & MASK64], dtype=np.uint64), ctx
+        prep, np.array([int(key) & MASK64], dtype=np.uint64), arrays
     )
     bits = np.array(prep.scheme.message_bits(idx, prep.k)[0])
     scales = None if scales is None else scales[0]

@@ -9,18 +9,24 @@ independent stochastic quantizer is the classical baseline.
 
 All quantizer cores are shape-generic: inputs may carry arbitrary leading
 batch axes (the Monte Carlo harness prepends a trial axis), with clients on
-the last axis. The single-round ops at the end are one trial of the
-harness engine (harness.run_round), on one coordinate of a context.
+the last axis. Each single-round op at the end is one call of the
+harness engine, harness.run_round, and returns its Round: per_client and
+indices in the (n, 1) layout, the wire bits of each client, and the
+estimate as a (1,) array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .randomness import ContextArrays, RandomnessContext
+from .randomness import RandomnessContext
+
+if TYPE_CHECKING:
+    from .harness import Round
 
 
 @dataclass(frozen=True)
@@ -105,15 +111,6 @@ def level_spacing(k: int) -> float:
     return (k + 1) / (k * (k - 1))
 
 
-@dataclass(frozen=True)
-class ScalarQuantOutput:
-    """Per-client decoded values, their level indices, and the mean estimate."""
-
-    per_client: np.ndarray
-    level_indices: np.ndarray
-    estimate: float
-
-
 # ---------------------------------------------------------------------------
 # Shape-generic kernels. Clients on the last axis; any leading batch axes.
 # ---------------------------------------------------------------------------
@@ -164,33 +161,13 @@ def uniform_grid_cells(y: np.ndarray, k: int):
 # ---------------------------------------------------------------------------
 
 
-def _engine_output(
-    scheme: str, batch: ScalarBatch, k: int, key: int = 0, ctx=None,
-    coordinate: int = 0,
-) -> ScalarQuantOutput:
-    """One round of `scheme` on the engine of harness.run_round, keyed by
-    `key` or reading one coordinate of the caller's shared context."""
+def _round(batch, scheme: str, k: int, key: int = 0, ctx=None) -> Round:
     from .harness import run_round  # harness imports this module
 
-    if ctx is not None:
-        if batch.n != ctx.n:
-            raise ValueError(f"batch has {batch.n} clients, context has {ctx.n}")
-        if not 0 <= coordinate < ctx.d:
-            raise ValueError(f"coordinate {coordinate} outside context d={ctx.d}")
-        j = slice(coordinate, coordinate + 1)
-        ctx = ContextArrays(*(a[:, j] for a in ctx.arrays()))
-    r = run_round(batch, scheme, k, key, ctx)
-    per_client = r.per_client[:, 0]
-    return ScalarQuantOutput(
-        per_client=per_client,
-        level_indices=r.indices[:, 0],
-        estimate=float(per_client.mean()),
-    )
+    return run_round(batch, scheme, k, key, ctx)
 
 
-def one_bit_cq(
-    batch: ScalarBatch, ctx: RandomnessContext, coordinate: int = 0
-) -> ScalarQuantOutput:
+def one_bit_cq(batch: ScalarBatch, ctx: RandomnessContext) -> Round:
     """Correlated one-bit quantizer.
 
     Client i sends 1{U_i < y_i} for the shared correlated uniform U_i and
@@ -199,12 +176,10 @@ def one_bit_cq(
     replacement, so the aggregate error tracks the batch's mean absolute
     deviation.
     """
-    return _engine_output("correlated-1bit", batch, 2, ctx=ctx, coordinate=coordinate)
+    return _round(batch, "correlated-1bit", 2, ctx=ctx)
 
 
-def k_level_cq(
-    batch: ScalarBatch, ctx: RandomnessContext, coordinate: int = 0
-) -> ScalarQuantOutput:
+def k_level_cq(batch: ScalarBatch, ctx: RandomnessContext) -> Round:
     """Correlated k-level quantizer on the randomized grid, k = ctx.k.
 
     Client i locates the largest level c strictly below its normalized
@@ -216,12 +191,10 @@ def k_level_cq(
     1.5x the range and is strictly dominated by the plain one-bit rule,
     which uses the same single bit.
     """
-    return _engine_output(
-        "correlated-klevel", batch, ctx.k, ctx=ctx, coordinate=coordinate
-    )
+    return _round(batch, "correlated-klevel", ctx.k, ctx=ctx)
 
 
-def independent_sq(batch: ScalarBatch, k: int, key: int) -> ScalarQuantOutput:
+def independent_sq(batch: ScalarBatch, k: int, key: int) -> Round:
     """Independent stochastic quantizer on the uniform k-level grid.
 
     Each client rounds to one of the two enclosing grid points with
@@ -231,4 +204,4 @@ def independent_sq(batch: ScalarBatch, k: int, key: int) -> ScalarQuantOutput:
     MSE is bounded by (r-l)^2 / (4 n (k-1)^2) regardless of how
     concentrated the batch is.
     """
-    return _engine_output("independent", batch, k, key)
+    return _round(batch, "independent", k, key)

@@ -225,7 +225,7 @@ def quantized_round(
         zeros = np.zeros_like(vectors)
         return RoundResult(np.zeros(dim), zeros, float(bc.HEADER_BITS))
     r = run_round(batch, scheme, k, derive_key(seed, "ctx"))
-    return RoundResult(r.per_client.mean(axis=0), r.per_client, float(r.bits.mean()))
+    return RoundResult(r.estimate, r.per_client, float(r.bits.mean()))
 
 
 def _clip_rows(vectors: np.ndarray, radius: float) -> np.ndarray:
@@ -398,9 +398,11 @@ def top_eigenvector(data: ShardedDataset) -> tuple[np.ndarray, float]:
 
 
 def subspace_error(v: np.ndarray, v_star: np.ndarray) -> float:
-    """Projector distance ||v v^T - v* v*^T||_F^2 / 2 = 1 - (v . v*)^2
-    for unit vectors; invariant to the sign of either argument."""
-    return float(1.0 - np.dot(v, v_star) ** 2)
+    """Projector distance ||v v^T - v* v*^T||_F^2 / 2 for unit vectors:
+    the squared sine ||v - (v . v*) v*||^2, which, unlike the equal
+    1 - (v . v*)^2, cannot round below zero. Sign-blind in both."""
+    residual = v - np.dot(v, v_star) * v_star
+    return float(np.dot(residual, residual))
 
 
 def distributed_power_iteration(

@@ -16,8 +16,11 @@ message; the server averages decoded vectors. Three families live here:
 
 Quantizer cores are shape-generic over leading batch axes, matching
 scalar_quant; the coordinate axis comes before the client axis in kernel
-layouts (d, n). The single-round ops at the end are one trial of the
-harness engine (harness.run_round), the code run_dme and the tasks run.
+layouts (d, n). The rotation W = H D / sqrt(m) is rotate and unrotate,
+with D the context's rotation signs over the padded dimension m. Each
+single-round op at the end is one call of the harness engine,
+harness.run_round (the code run_dme and the tasks run), and returns its
+Round.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import bitcodec as bc
 from .randomness import RandomnessContext
-from .scalar_quant import correlated_bits, level_cells, level_spacing
+from .scalar_quant import _round, correlated_bits, level_cells, level_spacing
+
+if TYPE_CHECKING:
+    from .harness import Round
 
 
 @dataclass(frozen=True)
@@ -131,29 +138,6 @@ def vector_concentration(batch: VectorBatch) -> float:
     return float(np.linalg.norm(dev, axis=1).mean())
 
 
-@dataclass(frozen=True)
-class VectorQuantReport:
-    """Everything one quantized round produces.
-
-    per_client holds the server-side decoding of each client's message
-    (estimate is their mean); level_indices are the raw per-coordinate
-    indices actually transmitted (padded dimension for rotated schemes);
-    payloads are the bit-exact serialized payloads, and bits_per_client is
-    the wire header plus each payload's true bit length. scales carries
-    per-client side values for the schemes that have them.
-    """
-
-    scheme: str
-    estimate: np.ndarray
-    per_client: np.ndarray
-    level_indices: np.ndarray
-    payloads: tuple[bc.BitStream, ...]
-    bits_per_client: np.ndarray
-    clip_events: int
-    sigma_d_md: float
-    scales: np.ndarray | None = None
-
-
 # ---------------------------------------------------------------------------
 # Randomized Hadamard rotation
 # ---------------------------------------------------------------------------
@@ -202,70 +186,15 @@ def fwht(x: np.ndarray) -> np.ndarray:
     return y.reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class RotationSpec:
-    """A shared rotation W = (1/sqrt(m)) H D on the padded dimension.
-
-    D is the Rademacher diagonal, H the Sylvester-Hadamard matrix. W is
-    orthonormal, so the inverse is W^T: rotate then sign-multiply.
-    """
-
-    dim: int
-    padded_dim: int
-    signs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.padded_dim != next_pow2(self.dim):
-            raise ValueError(
-                f"padded_dim {self.padded_dim} != next power of two of {self.dim}"
-            )
-        if self.signs.shape != (self.padded_dim,):
-            raise ValueError("signs must have shape (padded_dim,)")
-        if not np.all(np.abs(self.signs) == 1):
-            raise ValueError("signs must be +-1")
-
-
-def rotation_for(ctx: RandomnessContext, dim: int) -> RotationSpec:
-    """Rotation drawn by a context built at the padded dimension."""
-    m = next_pow2(dim)
-    if ctx.d != m:
-        raise ValueError(
-            f"context carries d={ctx.d}, rotated pipeline for dim {dim} needs {m}"
-        )
-    return RotationSpec(dim=dim, padded_dim=m, signs=np.asarray(ctx.rotation_signs))
-
-
 def rotate(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """W x = H D x / sqrt(m) along the last axis, x already padded to m."""
+    """W x = H D x / sqrt(m) along the last axis, x already zero-padded to
+    m; W is orthonormal, so unrotate(rotate(x, s), s, dim) gives x back."""
     return fwht(signs * x) / math.sqrt(x.shape[-1])
 
 
 def unrotate(z: np.ndarray, signs: np.ndarray, dim: int) -> np.ndarray:
     """W^T z = D H z / sqrt(m) along the last axis, truncated to dim."""
     return (fwht(z) / math.sqrt(z.shape[-1]) * signs)[..., :dim]
-
-
-def hadamard_rotate(
-    vectors: np.ndarray, spec: RotationSpec, inverse: bool = False
-) -> np.ndarray:
-    """Apply W (or W^T) along the last axis.
-
-    Forward pads dim -> padded_dim with zeros; inverse truncates back.
-    forward(inverse(z)) and inverse(forward(x)) are identities to float
-    precision.
-    """
-    v = np.asarray(vectors, dtype=np.float64)
-    m = spec.padded_dim
-    if inverse:
-        if v.shape[-1] != m:
-            raise ValueError(f"inverse rotation expects last axis {m}")
-        return unrotate(v, spec.signs, spec.dim)
-    if v.shape[-1] != spec.dim:
-        raise ValueError(f"forward rotation expects last axis {spec.dim}")
-    if spec.dim < m:
-        pad = np.zeros(v.shape[:-1] + (m - spec.dim,), dtype=np.float64)
-        v = np.concatenate([v, pad], axis=-1)
-    return rotate(v, spec.signs)
 
 
 def rotation_scale(radius: float, padded_dim: int, n: int) -> float:
@@ -331,56 +260,19 @@ def split_scale_tail(stream: bc.BitStream) -> tuple[bc.BitStream, float]:
 
 
 # ---------------------------------------------------------------------------
-# Reference single-round ops: one trial of the harness engine
+# Reference single-round ops: one call of harness.run_round each
 # ---------------------------------------------------------------------------
-
-
-def _check_vector_ctx(
-    batch: VectorBatch, ctx: RandomnessContext, d: int, k: int | None = None
-) -> None:
-    if batch.n != ctx.n:
-        raise ValueError(f"batch has {batch.n} clients, context has {ctx.n}")
-    if ctx.d != d:
-        raise ValueError(f"context carries d={ctx.d}, need {d}")
-    if k is not None and k != ctx.k:
-        raise ValueError(f"k={k} disagrees with context k={ctx.k}")
-
-
-def _engine_report(
-    scheme: str, batch: VectorBatch, k: int, key: int = 0, ctx=None
-) -> VectorQuantReport:
-    """One round of `scheme` on the engine of harness.run_round, keyed by
-    `key` or reading the caller's shared context, with every client's
-    payload as the wire audit serializes it."""
-    from .harness import SCHEME_TABLE, run_round  # harness imports this module
-
-    r = run_round(batch, scheme, k, key, None if ctx is None else ctx.arrays())
-    payloads = SCHEME_TABLE[scheme].payloads(r.indices, k, r.scales, r.bits)
-    return VectorQuantReport(
-        scheme=scheme,
-        estimate=r.per_client.mean(axis=0),
-        per_client=r.per_client,
-        level_indices=r.indices,
-        payloads=tuple(payloads),
-        bits_per_client=r.bits,
-        clip_events=r.clips,
-        sigma_d_md=vector_concentration(batch),
-        scales=r.scales,
-    )
 
 
 def correlated_vector_cq(
     batch: VectorBatch, ctx: RandomnessContext, k: int = 2
-) -> VectorQuantReport:
+) -> Round:
     """Coordinate-wise correlated quantization, fixed-width index coding."""
-    _check_vector_ctx(batch, ctx, batch.d, k)
     scheme = "correlated-1bit" if k == 2 else "correlated-klevel"
-    return _engine_report(scheme, batch, k, ctx=ctx)
+    return _round(batch, scheme, k, ctx=ctx)
 
 
-def entropy_cq(
-    batch: VectorBatch, ctx: RandomnessContext, k: int
-) -> VectorQuantReport:
+def entropy_cq(batch: VectorBatch, ctx: RandomnessContext, k: int) -> Round:
     """Coordinate-wise correlated quantization with gamma-coded indices.
 
     Identical estimates to correlated_vector_cq under the same context;
@@ -389,13 +281,12 @@ def entropy_cq(
     coding spends close to one bit per coordinate plus a logarithmic
     penalty for the outliers.
     """
-    _check_vector_ctx(batch, ctx, batch.d, k)
-    return _engine_report("entropy-cq", batch, k, ctx=ctx)
+    return _round(batch, "entropy-cq", k, ctx=ctx)
 
 
 def walsh_hadamard_cq(
     batch: VectorBatch, ctx: RandomnessContext, k: int = 2
-) -> VectorQuantReport:
+) -> Round:
     """Rotate, scale into [-1, 1], correlated-quantize, un-rotate.
 
     The shared rotation flattens every client vector so coordinates are
@@ -403,8 +294,7 @@ def walsh_hadamard_cq(
     the far tail is clipped (the only bias source, vanishing at rate
     (mn)^-4). Fixed-width payloads over the padded dimension.
     """
-    _check_vector_ctx(batch, ctx, next_pow2(batch.d), k)
-    return _engine_report("hadamard-cq", batch, k, ctx=ctx)
+    return _round(batch, "hadamard-cq", k, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +304,7 @@ def walsh_hadamard_cq(
 
 def independent_vector_sq(
     batch: VectorBatch, k: int, rotate: bool = False, key: int = 0
-) -> VectorQuantReport:
+) -> Round:
     """Independent stochastic quantization, optionally inside the rotation.
 
     Unrotated: each coordinate rounds on the uniform k-level grid over
@@ -424,10 +314,10 @@ def independent_vector_sq(
     harness.run_round(batch, scheme, k, key).
     """
     scheme = "independent-rotation" if rotate else "independent"
-    return _engine_report(scheme, batch, k, key)
+    return _round(batch, scheme, k, key)
 
 
-def ternary_quantize(batch: VectorBatch, key: int) -> VectorQuantReport:
+def ternary_quantize(batch: VectorBatch, key: int) -> Round:
     """Ternary baseline: coordinates snap to {-s_i, 0, +s_i}.
 
     s_i = max_j |x_i(j)|; a coordinate fires with probability |x|/s_i and
@@ -435,7 +325,7 @@ def ternary_quantize(batch: VectorBatch, key: int) -> VectorQuantReport:
     Unbiased. An all-zero client sends exact zeros. The per-client scale
     rides along as a float64 payload tail.
     """
-    return _engine_report("terngrad", batch, 3, key)
+    return _round(batch, "terngrad", 3, key)
 
 
 def sign_scale_kernel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,14 +340,11 @@ def sign_scale_kernel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits, scales
 
 
-def rotate_sign_baseline(
-    batch: VectorBatch, ctx: RandomnessContext
-) -> VectorQuantReport:
+def rotate_sign_baseline(batch: VectorBatch, ctx: RandomnessContext) -> Round:
     """Simplified rotate-then-sign baseline (biased, deterministic).
 
     Rotate with the shared W, keep one sign bit per coordinate plus the
     l1 scale, un-rotate. A stand-in for sign-based one-bit schemes; it is
     intentionally not a faithful reproduction of any published method.
     """
-    _check_vector_ctx(batch, ctx, next_pow2(batch.d))
-    return _engine_report("rotate-sign", batch, 2, ctx=ctx)
+    return _round(batch, "rotate-sign", 2, ctx=ctx)

@@ -225,7 +225,7 @@ def test_codec_round_trips_and_exact_bit_counts():
         ctx = build_context(3, n=6, d=vq.next_pow2(d), k=k)
         rep = vq.walsh_hadamard_cq(batch, ctx, k=k)
         want = bc.HEADER_BITS + vq.next_pow2(d) * bc.fixed_width(k)
-        assert np.all(rep.bits_per_client == want), (d, k)
+        assert np.all(rep.bits == want), (d, k)
 
 
 def test_transform_matches_dense_and_runs_subquadratic():
@@ -235,18 +235,14 @@ def test_transform_matches_dense_and_runs_subquadratic():
         dense = scipy.linalg.hadamard(d) @ x
         assert np.max(np.abs(vq.fwht(x) - dense)) < 1e-10
 
-        ctx = build_context(23, n=2, d=d, k=2)
-        spec = vq.rotation_for(ctx, d)
-        explicit = (
-            scipy.linalg.hadamard(d) @ (spec.signs * x) / np.sqrt(d)
-        )
-        assert np.max(np.abs(vq.hadamard_rotate(x, spec) - explicit)) < 1e-10
+        signs = build_context(23, n=2, d=d, k=2).rotation_signs
+        explicit = scipy.linalg.hadamard(d) @ (signs * x) / np.sqrt(d)
+        assert np.max(np.abs(vq.rotate(x, signs) - explicit)) < 1e-10
 
     big = 1 << 14
-    ctx = build_context(29, n=2, d=big, k=2)
-    spec = vq.rotation_for(ctx, big)
+    signs = build_context(29, n=2, d=big, k=2).rotation_signs
     v = rng.normal(size=big)
-    back = vq.hadamard_rotate(vq.hadamard_rotate(v, spec), spec, inverse=True)
+    back = vq.unrotate(vq.rotate(v, signs), signs, big)
     assert np.max(np.abs(back - v)) < 1e-10
 
     def best_time(dim: int) -> float:

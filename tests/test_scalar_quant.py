@@ -1,4 +1,8 @@
-"""Scalar quantizer kernels and reference ops."""
+"""Scalar quantizer kernels and reference ops.
+
+The ops return the engine's Round: per_client and indices are (n, 1),
+the estimate a (1,) array.
+"""
 
 import numpy as np
 import pytest
@@ -98,20 +102,21 @@ class TestOneBit:
                 b = batch01(np.full(n, s / n))
                 for seed in range(20):
                     out = one_bit_cq(b, build_context(seed, n=n))
-                    assert out.estimate == s / n
+                    assert out.estimate.tolist() == [s / n]
 
     def test_outputs_are_bits(self):
         b = batch01([0.2, 0.8, 0.5])
         out = one_bit_cq(b, build_context(3, n=3))
-        assert set(np.unique(out.level_indices)) <= {0, 1}
-        assert np.array_equal(out.per_client, out.level_indices.astype(float))
+        assert out.indices.shape == out.per_client.shape == (3, 1)
+        assert set(np.unique(out.indices)) <= {0, 1}
+        assert np.array_equal(out.per_client, out.indices.astype(float))
 
     def test_unbiased(self):
         b = ScalarBatch(np.array([0.1, 0.35, 0.8, 0.55]), 0.0, 1.0)
         seeds = trial_seeds(17, 40_000)
         acc = 0.0
         for t in range(len(seeds)):
-            acc += one_bit_cq(b, build_context(int(seeds[t]), n=4)).estimate
+            acc += one_bit_cq(b, build_context(int(seeds[t]), n=4)).estimate[0]
         # estimate variance is at most 1/(4n) per trial
         se = np.sqrt(0.25 / 4 / len(seeds))
         assert abs(acc / len(seeds) - b.mean()) < 4 * se
@@ -128,22 +133,23 @@ class TestKLevel:
         ctx = build_context(8, n=3, k=2)
         a = k_level_cq(b, ctx)
         o = one_bit_cq(b, ctx)
-        assert a.estimate == o.estimate
-        assert np.array_equal(a.level_indices, o.level_indices)
+        assert np.array_equal(a.estimate, o.estimate)
+        assert np.array_equal(a.indices, o.indices)
 
     def test_indices_within_grid(self):
         b = batch01(np.linspace(0, 1, 9))
         for k in (3, 4, 8, 33):
             out = k_level_cq(b, build_context(2, n=9, k=k))
-            assert out.level_indices.min() >= 0
-            assert out.level_indices.max() <= k - 1
+            assert out.indices.shape == (9, 1)
+            assert out.indices.min() >= 0
+            assert out.indices.max() <= k - 1
 
     def test_per_client_error_bounded_by_spacing(self):
         rng = np.random.default_rng(4)
         b = batch01(rng.random(50))
         for k in (3, 5, 16):
             out = k_level_cq(b, build_context(9, n=50, k=k))
-            err = np.abs(out.per_client - b.values)
+            err = np.abs(out.per_client[:, 0] - b.values)
             assert err.max() <= level_spacing(k) + 1e-12
 
     def test_unbiased(self):
@@ -152,7 +158,7 @@ class TestKLevel:
         acc = 0.0
         for t in range(len(seeds)):
             ctx = build_context(int(seeds[t]), n=5, k=4)
-            acc += k_level_cq(b, ctx).estimate
+            acc += k_level_cq(b, ctx).estimate[0]
         se = np.sqrt(level_spacing(4) ** 2 / 4 / 5 / len(seeds))
         assert abs(acc / len(seeds) - b.mean()) < 4 * se
 
@@ -168,7 +174,7 @@ class TestIndependent:
         b = ScalarBatch(np.array([0.15, 0.5, 0.85]), 0.0, 1.0)
         trials = 40_000
         keys = trial_seeds(77, trials)
-        acc = sum(independent_sq(b, 4, int(key)).estimate for key in keys)
+        acc = sum(independent_sq(b, 4, int(key)).estimate[0] for key in keys)
         se = np.sqrt((1 / 3) ** 2 / 4 / 3 / trials)
         assert abs(acc / trials - b.mean()) < 4 * se
 
@@ -212,5 +218,5 @@ def test_klevel_per_client_stays_in_randomized_span(values, seed, k):
     ctx = build_context(seed, n=b.n, k=k)
     out = k_level_cq(b, ctx)
     bound = level_spacing(k) if k > 2 else 1.0
-    assert np.all(np.abs(out.per_client - b.values) <= bound + 1e-12)
-    assert out.level_indices.min() >= 0 and out.level_indices.max() <= k - 1
+    assert np.all(np.abs(out.per_client[:, 0] - b.values) <= bound + 1e-12)
+    assert out.indices.min() >= 0 and out.indices.max() <= k - 1

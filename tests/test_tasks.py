@@ -221,6 +221,36 @@ class TestPowerIteration:
         assert tk.subspace_error(v, -v) == pytest.approx(0.0)  # sign-blind
         assert tk.subspace_error(v, np.array([0.0, 1.0])) == pytest.approx(1.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        seed=st.integers(0, 2**32 - 1),
+        log_tilt=st.floats(-18.0, 0.0),
+        flip=st.booleans(),
+    )
+    def test_subspace_error_is_the_squared_sine(self, d, seed, log_tilt, flip):
+        # 1 - (v . v*)^2 rounds below zero for near-parallel unit vectors;
+        # the squared sine ||v - (v . v*) v*||^2 cannot, and the two agree
+        # to a few eps
+        rng = np.random.default_rng(seed)
+        v_star = rng.normal(size=d)
+        v_star /= np.linalg.norm(v_star)
+        v = v_star + 10.0**log_tilt * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        v = -v if flip else v
+        got = tk.subspace_error(v, v_star)
+        assert got >= 0.0
+        assert abs(got - (1.0 - np.dot(v, v_star) ** 2)) <= 16 * np.finfo(float).eps
+        assert got == tk.subspace_error(-v, v_star) == tk.subspace_error(v, -v_star)
+
+    def test_exact_power_metrics_are_never_negative(self):
+        # with 1 - (v . v*)^2 the last round read -4.44e-16
+        res = tk.distributed_power_iteration(
+            tk.two_blob_fixture(seed=0), rounds=10, scheme="none", seed=0
+        )
+        assert min(res.metrics) >= 0.0
+        assert res.metrics[-1] < 1e-18
+
     def test_degenerate_input_raises(self):
         with pytest.raises(tk.DegenerateInputError):
             tk.distributed_power_iteration(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrq import bitcodec as bc
+from corrq import harness as hz
 from corrq import vector_quant as vq
 from corrq.randomness import RandomnessContext, build_context, trial_seeds
 
@@ -23,56 +24,66 @@ def make_batch(n=6, d=5, seed=7, headroom=1.3):
 
 
 VECTOR_OPS = {
-    # name: (op on a batch, wire levels, gamma coded, scale tail)
+    # name: (op on a batch and a seed, k): the op reads build_context(seed)
+    # or the round key seed, as run_round(batch, name, k, seed) does
     "correlated-1bit": (
-        lambda b: vq.correlated_vector_cq(b, build_context(1, b.n, b.d, 2), k=2),
-        2, False, False,
+        lambda b, s: vq.correlated_vector_cq(b, build_context(s, b.n, b.d, 2), k=2),
+        2,
     ),
     "correlated-klevel": (
-        lambda b: vq.correlated_vector_cq(b, build_context(2, b.n, b.d, 5), k=5),
-        5, False, False,
+        lambda b, s: vq.correlated_vector_cq(b, build_context(s, b.n, b.d, 5), k=5),
+        5,
     ),
     "entropy-cq": (
-        lambda b: vq.entropy_cq(b, build_context(3, b.n, b.d, 8), k=8),
-        8, True, False,
+        lambda b, s: vq.entropy_cq(b, build_context(s, b.n, b.d, 8), k=8), 8,
     ),
     "hadamard-cq": (
-        lambda b: vq.walsh_hadamard_cq(
-            b, build_context(4, b.n, vq.next_pow2(b.d), 4), k=4
+        lambda b, s: vq.walsh_hadamard_cq(
+            b, build_context(s, b.n, vq.next_pow2(b.d), 4), k=4
         ),
-        4, False, False,
+        4,
     ),
-    "independent": (lambda b: vq.independent_vector_sq(b, 6, key=5), 6, False, False),
+    "independent": (lambda b, s: vq.independent_vector_sq(b, 6, key=s), 6),
     "independent-rotation": (
-        lambda b: vq.independent_vector_sq(b, 3, rotate=True, key=6), 3, False, False,
+        lambda b, s: vq.independent_vector_sq(b, 3, rotate=True, key=s), 3,
     ),
-    "terngrad": (lambda b: vq.ternary_quantize(b, key=7), 3, False, True),
+    "terngrad": (lambda b, s: vq.ternary_quantize(b, key=s), 3),
     "rotate-sign": (
-        lambda b: vq.rotate_sign_baseline(
-            b, build_context(8, b.n, vq.next_pow2(b.d), 2)
+        lambda b, s: vq.rotate_sign_baseline(
+            b, build_context(s, b.n, vq.next_pow2(b.d), 2)
         ),
-        2, False, True,
+        2,
     ),
 }
 
 
+def payloads(scheme, r, k):
+    """The round's client payloads, built as the wire audit builds them."""
+    return hz.SCHEME_TABLE[scheme].payloads(r.indices, k, r.scales, r.bits)
+
+
 @pytest.mark.parametrize("scheme", sorted(VECTOR_OPS))
 def test_op_payloads_decode_to_level_indices(scheme):
-    op, k, gamma, tail = VECTOR_OPS[scheme]
+    op, k = VECTOR_OPS[scheme]
+    spec = hz.SCHEME_TABLE[scheme]
     b = make_batch(n=7, d=11, seed=13)
-    rep = op(b)
-    assert rep.scheme == scheme
-    assert len(rep.payloads) == b.n
-    for i, payload in enumerate(rep.payloads):
-        assert rep.bits_per_client[i] == bc.HEADER_BITS + payload.length
-        if tail:
-            payload, scale = vq.split_scale_tail(payload)
-            assert scale == rep.scales[i]
-        if gamma:
-            got = bc.zigzag_decode(np.array(bc.elias_gamma_decode(payload)), k)
-        else:
-            got = bc.unpack_fixed(payload, k)
-        assert np.array_equal(got, rep.level_indices[i])
+    for seed in (1, 2**63 + 5):
+        rep = op(b, seed)
+        want = hz.run_round(b, scheme, k, seed)
+        for got, field in zip(rep, want):
+            assert (got is None) == (field is None)
+            assert got is None or np.array_equal(got, field), scheme
+        assert np.array_equal(rep.estimate, want.estimate)
+        for i, payload in enumerate(payloads(scheme, rep, k)):
+            assert rep.bits[i] == bc.HEADER_BITS + payload.length
+            if spec.scale_tail:
+                payload, scale = vq.split_scale_tail(payload)
+                assert scale == rep.scales[i]
+            if spec.gamma:
+                got = bc.zigzag_decode(np.array(bc.elias_gamma_decode(payload)), k)
+            else:
+                got = bc.unpack_fixed(payload, k)
+            assert np.array_equal(got, rep.indices[i])
 
 
 class TestVectorBatch:
@@ -185,32 +196,30 @@ class TestRotation:
             vq.fwht(np.zeros(6))
 
     def test_rotation_isometry_and_inverse(self):
+        # rotate takes vectors zero-padded to m; unrotate truncates back
         rng = np.random.default_rng(1)
         for d in (1, 3, 8, 13):
-            ctx = build_context(11, n=4, d=vq.next_pow2(d), k=4)
-            spec = vq.rotation_for(ctx, d)
+            m = vq.next_pow2(d)
+            signs = build_context(11, n=4, d=m, k=4).rotation_signs
             X = rng.normal(size=(6, d))
-            Z = vq.hadamard_rotate(X, spec)
-            assert Z.shape == (6, spec.padded_dim)
+            X_pad = np.zeros((6, m))
+            X_pad[:, :d] = X
+            Z = vq.rotate(X_pad, signs)
+            assert Z.shape == (6, m)
             assert np.allclose(
                 np.linalg.norm(Z, axis=1), np.linalg.norm(X, axis=1)
             )
-            assert np.allclose(vq.hadamard_rotate(Z, spec, inverse=True), X,
-                               atol=1e-12)
+            assert np.allclose(vq.unrotate(Z, signs, d), X, atol=1e-12)
+            assert np.allclose(vq.unrotate(Z, signs, m), X_pad, atol=1e-12)
 
     def test_rotation_matches_explicit_matrix(self):
         d = 8
-        ctx = build_context(3, n=2, d=d, k=2)
-        spec = vq.rotation_for(ctx, d)
+        signs = build_context(3, n=2, d=d, k=2).rotation_signs
         H = scipy.linalg.hadamard(d).astype(float)
-        W = H @ np.diag(spec.signs) / math.sqrt(d)
+        W = H @ np.diag(signs) / math.sqrt(d)
         X = np.random.default_rng(2).normal(size=(5, d))
-        assert np.allclose(vq.hadamard_rotate(X, spec), X @ W.T, atol=1e-12)
-
-    def test_rotation_for_requires_padded_context(self):
-        ctx = build_context(0, n=2, d=8, k=2)
-        with pytest.raises(ValueError):
-            vq.rotation_for(ctx, 9)
+        assert np.allclose(vq.rotate(X, signs), X @ W.T, atol=1e-12)
+        assert np.allclose(vq.unrotate(X, signs, d), X @ W, atol=1e-12)
 
     def test_next_pow2(self):
         assert [vq.next_pow2(v) for v in (1, 2, 3, 8, 9, 1000)] == [
@@ -252,13 +261,9 @@ class TestCorrelatedVector:
         k = 4
         ctx = build_context(5, n=b.n, d=b.d, k=k)
         rep = vq.correlated_vector_cq(b, ctx, k=k)
-        for i, payload in enumerate(rep.payloads):
-            assert np.array_equal(
-                bc.unpack_fixed(payload, k), rep.level_indices[i]
-            )
-        assert np.all(
-            rep.bits_per_client == bc.HEADER_BITS + b.d * bc.fixed_width(k)
-        )
+        for i, payload in enumerate(payloads("correlated-klevel", rep, k)):
+            assert np.array_equal(bc.unpack_fixed(payload, k), rep.indices[i])
+        assert np.all(rep.bits == bc.HEADER_BITS + b.d * bc.fixed_width(k))
 
     def test_coordinate_isolation(self):
         # swapping in foreign shared randomness for coordinate 2 must not
@@ -280,10 +285,8 @@ class TestCorrelatedVector:
         a = vq.correlated_vector_cq(b, ctx, k=4)
         t = vq.correlated_vector_cq(b, tampered, k=4)
         keep = [0, 1, 3]
-        assert np.array_equal(
-            a.level_indices[:, keep], t.level_indices[:, keep]
-        )
-        assert not np.array_equal(a.level_indices[:, 2], t.level_indices[:, 2])
+        assert np.array_equal(a.indices[:, keep], t.indices[:, keep])
+        assert not np.array_equal(a.indices[:, 2], t.indices[:, 2])
 
 
 class TestEntropyVariant:
@@ -293,20 +296,19 @@ class TestEntropyVariant:
         fixed = vq.correlated_vector_cq(b, ctx, k=8)
         gamma = vq.entropy_cq(b, ctx, k=8)
         assert np.array_equal(fixed.estimate, gamma.estimate)
-        assert np.array_equal(fixed.level_indices, gamma.level_indices)
+        assert np.array_equal(fixed.indices, gamma.indices)
 
     def test_gamma_payload_round_trip(self):
         b = make_batch(seed=21)
         ctx = build_context(42, n=b.n, d=b.d, k=8)
         rep = vq.entropy_cq(b, ctx, k=8)
-        for i, payload in enumerate(rep.payloads):
+        built = payloads("entropy-cq", rep, 8)
+        for i, payload in enumerate(built):
             values = np.array(bc.elias_gamma_decode(payload))
-            assert np.array_equal(
-                bc.zigzag_decode(values, 8), rep.level_indices[i]
-            )
-        assert np.all(rep.bits_per_client == bc.HEADER_BITS + np.array(
-            [p.length for p in rep.payloads]
-        ))
+            assert np.array_equal(bc.zigzag_decode(values, 8), rep.indices[i])
+        assert np.all(
+            rep.bits == bc.HEADER_BITS + np.array([p.length for p in built])
+        )
 
     def test_beats_fixed_width_on_concentrated_data(self):
         # near-zero vectors sit at the central levels: the gamma payload
@@ -317,7 +319,7 @@ class TestEntropyVariant:
         ctx = build_context(1, n=8, d=d, k=k)
         rep = vq.entropy_cq(b, ctx, k=k)
         fixed_bits = bc.HEADER_BITS + d * bc.fixed_width(k)
-        assert rep.bits_per_client.max() < fixed_bits
+        assert rep.bits.max() < fixed_bits
 
     def test_entropy_bit_cost_bound(self):
         # documented ceiling: twice the ideal-code estimate plus header
@@ -330,7 +332,7 @@ class TestEntropyVariant:
         ideal = d * (1 + math.log2((k - 1) ** 2 / (2 * d) + 1)) + k * math.log2(
             (k + d) * math.e / k
         )
-        assert rep.bits_per_client.max() <= bc.HEADER_BITS + 2.0 * ideal
+        assert rep.bits.max() <= bc.HEADER_BITS + 2.0 * ideal
 
 
 class TestHadamardCq:
@@ -340,7 +342,7 @@ class TestHadamardCq:
         for seed in range(50):
             ctx = build_context(seed, n=8, d=8, k=4)
             rep = vq.walsh_hadamard_cq(b, ctx, k=4)
-            assert rep.clip_events == 0
+            assert rep.clips == 0
 
     def test_bias_small_without_clipping(self):
         b = make_batch(n=8, d=12, seed=6)
@@ -357,7 +359,7 @@ class TestHadamardCq:
         m = vq.next_pow2(12)
         ctx = build_context(0, n=4, d=m, k=8)
         rep = vq.walsh_hadamard_cq(b, ctx, k=8)
-        assert np.all(rep.bits_per_client == bc.HEADER_BITS + m * 3)
+        assert np.all(rep.bits == bc.HEADER_BITS + m * 3)
 
     def test_requires_padded_context(self):
         b = make_batch(n=4, d=12, seed=2)
@@ -371,7 +373,7 @@ class TestHadamardCq:
         clip_events = 0
         for seed in range(5):
             ctx = build_context(seed, n=100, d=1024, k=4)
-            clip_events += vq.walsh_hadamard_cq(b, ctx, k=4).clip_events
+            clip_events += vq.walsh_hadamard_cq(b, ctx, k=4).clips
         assert clip_events / (5 * 100 * 1024) <= 1e-12
 
 
@@ -403,10 +405,10 @@ class TestIndependentBaselines:
             acc += rep.estimate
         assert np.abs(acc / trials - b.mean()).max() < 3e-2 * b.radius
         rep = vq.ternary_quantize(b, key=3)
-        head, scale = vq.split_scale_tail(rep.payloads[0])
+        head, scale = vq.split_scale_tail(payloads("terngrad", rep, 3)[0])
         assert scale == rep.scales[0]
-        assert np.array_equal(bc.unpack_fixed(head, 3), rep.level_indices[0])
-        assert np.all(rep.bits_per_client == bc.HEADER_BITS + 2 * b.d + 64)
+        assert np.array_equal(bc.unpack_fixed(head, 3), rep.indices[0])
+        assert np.all(rep.bits == bc.HEADER_BITS + 2 * b.d + 64)
 
     def test_terngrad_zero_batch(self):
         b = vq.VectorBatch(np.zeros((3, 4)), radius=1.0)
@@ -427,9 +429,9 @@ class TestRotateSign:
         b = make_batch(n=6, d=5, seed=11)
         ctx = build_context(21, n=6, d=vq.next_pow2(5), k=2)
         rep = vq.rotate_sign_baseline(b, ctx)
-        head, scale = vq.split_scale_tail(rep.payloads[2])
+        head, scale = vq.split_scale_tail(payloads("rotate-sign", rep, 2)[2])
         assert scale == rep.scales[2]
-        assert np.array_equal(bc.unpack_fixed(head, 2), rep.level_indices[2])
+        assert np.array_equal(bc.unpack_fixed(head, 2), rep.indices[2])
 
     def test_per_client_error_bounded_by_norm(self):
         # sign-magnitude reconstruction never overshoots the vector scale
@@ -478,8 +480,8 @@ def test_correlated_vector_round_invariants(seed, n, d, k):
     b = vq.VectorBatch.from_vectors(x)
     ctx = build_context(seed, n=n, d=d, k=k)
     rep = vq.correlated_vector_cq(b, ctx, k=k)
-    assert rep.level_indices.shape == (n, d)
-    assert rep.level_indices.min() >= 0 and rep.level_indices.max() <= k - 1
+    assert rep.indices.shape == (n, d)
+    assert rep.indices.min() >= 0 and rep.indices.max() <= k - 1
     assert np.allclose(rep.estimate, rep.per_client.mean(axis=0))
     # per-coordinate reconstruction stays within one randomized level step
     w = 2 * b.radius
