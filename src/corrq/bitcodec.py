@@ -18,12 +18,18 @@ Wire layout (byte-for-byte):
 
 The header is exactly 27 bytes (HEADER_BITS = 216). Bit-cost accounting
 throughout the package is HEADER_BITS plus the true payload bit length.
+
+Many messages sharing one routing header (a trial's n client messages)
+travel as one frame: their headers back to back, then their payloads
+back to back (BitRows), so that both sides work on arrays.
+frame_encode/frame_decode are the one serializer; message_encode and
+message_decode are their one-message case, where a frame is exactly the
+message above.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,7 +51,12 @@ SCHEME_BYTES = {
 }
 SCHEME_NAMES = {v: k for k, v in SCHEME_BYTES.items()}
 
-_HEADER_STRUCT = struct.Struct("<4sBIIHQI")
+# the header layout above, packed and little-endian (struct "<4sBIIHQI")
+HEADER_DTYPE = np.dtype([
+    ("magic", "S4"), ("scheme", "u1"), ("n", "<u4"), ("d", "<u4"),
+    ("k", "<u2"), ("seed", "<u8"), ("bits", "<u4"),
+])
+_KNOWN_SCHEME_BYTES = np.isin(np.arange(256), list(SCHEME_NAMES))
 # header fields and their exclusive upper limits (u32, u32, u16, u64)
 HEADER_LIMITS = {"n": 1 << 32, "d": 1 << 32, "k": 1 << 16, "seed": 1 << 64}
 
@@ -120,6 +131,59 @@ class BitStream:
     @classmethod
     def from_bitstring(cls, text: str) -> "BitStream":
         return cls.from_bits(int(c) for c in text)
+
+
+@dataclass(frozen=True, eq=False)
+class BitRows:
+    """Bit strings stored back to back, each padded to whole bytes with
+    zero bits: row i holds lengths[i] bits. Indexing and iteration give
+    the rows as BitStreams."""
+
+    data: np.ndarray     # uint8, every row's bytes
+    lengths: np.ndarray  # int64 bit length of each row
+    ends: np.ndarray = field(init=False, repr=False)  # byte end of each row
+
+    def __post_init__(self) -> None:
+        ends = np.cumsum((self.lengths + 7) >> 3)
+        if self.data.size != (ends[-1] if ends.size else 0):
+            raise LengthMismatchError(
+                f"{len(ends)} rows of {int(self.lengths.sum())} bits do not fill "
+                f"{self.data.size} bytes"
+            )
+        object.__setattr__(self, "ends", ends)
+
+    @classmethod
+    def from_bits(cls, bits: np.ndarray) -> "BitRows":
+        """Equal-length rows from a (rows, m) 0/1 array."""
+        return cls(
+            np.packbits(bits, axis=-1).ravel(),
+            np.full(len(bits), bits.shape[1], dtype=np.int64),
+        )
+
+    @classmethod
+    def from_streams(cls, streams: Sequence[BitStream]) -> "BitRows":
+        return cls(
+            np.frombuffer(b"".join(s.data for s in streams), dtype=np.uint8),
+            np.array([s.length for s in streams], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> BitStream:
+        i = range(len(self))[i]
+        start = int(self.ends[i - 1]) if i > 0 else 0
+        return BitStream(self.data[start : self.ends[i]].tobytes(), int(self.lengths[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def bit_matrix(self) -> np.ndarray:
+        """The rows' bits as a (rows, m) 0/1 array, for equal-length rows."""
+        m = int(self.lengths[0]) if len(self) else 0
+        if (self.lengths != m).any():
+            raise LengthMismatchError("rows differ in length")
+        return np.unpackbits(self.data.reshape(len(self), -1), axis=-1, count=m)
 
 
 # ---------------------------------------------------------------------------
@@ -257,40 +321,36 @@ def fixed_width(k: int) -> int:
 
 def pack_fixed(indices: Sequence[int] | np.ndarray, k: int) -> BitStream:
     """Pack indices in [0, k) at ceil(log2 k) bits each, big-endian."""
-    return pack_fixed_rows(np.asarray(indices, dtype=np.int64).reshape(1, -1), k)[0]
+    row = fixed_width_bits(np.asarray(indices, dtype=np.int64).reshape(1, -1), k)
+    return BitRows.from_bits(row)[0]
 
 
-def pack_fixed_rows(indices: np.ndarray, k: int) -> list[BitStream]:
-    """pack_fixed of every row of a (rows, m) index array, in one pass."""
+def unpack_fixed(stream: BitStream, k: int) -> np.ndarray:
+    """Inverse of pack_fixed; the count is implied by the stream length."""
+    return fixed_width_indices(BitRows.from_streams([stream]).bit_matrix(), k)[0]
+
+
+def fixed_width_bits(indices: np.ndarray, k: int) -> np.ndarray:
+    """The indices of each row of a (rows, m) array in [0, k) at
+    ceil(log2 k) bits each, big-endian: a (rows, m * width) 0/1 array."""
     width = fixed_width(k)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise InvalidParameterError(f"indices outside [0, {k})")
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = ((idx[..., None] >> shifts) & 1).astype(np.uint8).reshape(len(idx), -1)
-    length = bits.shape[1]
-    return [BitStream(row.tobytes(), length) for row in np.packbits(bits, axis=-1)]
+    return ((idx[..., None] >> shifts) & 1).astype(np.uint8).reshape(len(idx), -1)
 
 
-def unpack_fixed(stream: BitStream, k: int) -> np.ndarray:
-    """Inverse of pack_fixed; the count is implied by the stream length."""
-    return unpack_fixed_rows([stream], k)[0]
-
-
-def unpack_fixed_rows(streams: Sequence[BitStream], k: int) -> np.ndarray:
-    """unpack_fixed of equal-length streams, as a (rows, m) array."""
+def fixed_width_indices(bits: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of fixed_width_bits: the (rows, m) indices of a 0/1 array."""
     width = fixed_width(k)
-    length = streams[0].length
-    if any(s.length != length for s in streams):
-        raise LengthMismatchError("streams differ in length")
+    length = bits.shape[1]
     if length % width != 0:
         raise LengthMismatchError(
             f"{length} bits is not a multiple of width {width}"
         )
-    data = np.frombuffer(b"".join(s.data for s in streams), dtype=np.uint8)
-    bits = np.unpackbits(data.reshape(len(streams), -1), axis=-1, count=length)
     weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
-    idx = bits.reshape(len(streams), -1, width).astype(np.int64) @ weights
+    idx = bits.reshape(len(bits), -1, width).astype(np.int64) @ weights
     if idx.size and idx.max() >= k:
         row, col = np.argwhere(idx >= k)[0]
         raise MalformedStreamError(
@@ -352,57 +412,87 @@ class WireMessage:
     payload: BitStream
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEME_BYTES:
-            raise UnknownSchemeError(f"unknown scheme {self.scheme!r}")
-        for name, value in (
-            ("n", self.n), ("d", self.d), ("k", self.k), ("seed", self.seed)
-        ):
-            if not 0 <= value < HEADER_LIMITS[name]:
-                raise InvalidParameterError(f"{name}={value} out of range")
+        _check_header(self.scheme, self.n, self.d, self.k, self.seed)
 
     @property
     def total_bits(self) -> int:
         return HEADER_BITS + self.payload.length
 
 
+def _check_header(scheme: str, n: int, d: int, k: int, seed: int) -> None:
+    if scheme not in SCHEME_BYTES:
+        raise UnknownSchemeError(f"unknown scheme {scheme!r}")
+    for name, value in (("n", n), ("d", d), ("k", k), ("seed", seed)):
+        if not 0 <= value < HEADER_LIMITS[name]:
+            raise InvalidParameterError(f"{name}={value} out of range")
+
+
+def frame_encode(
+    scheme: str, n: int, d: int, k: int, seed: int, payloads: BitRows
+) -> bytes:
+    """One message per payload row, all with the routing header (scheme,
+    n, d, k, seed): the headers back to back, then the payloads back to
+    back. Header i followed by payload i is message i's bytes."""
+    _check_header(scheme, n, d, k, seed)
+    if payloads.lengths.size and payloads.lengths.max() >= 1 << 32:
+        raise InvalidParameterError("payload longer than 2**32 - 1 bits")
+    head = np.zeros(len(payloads), dtype=HEADER_DTYPE)
+    head["magic"] = MAGIC
+    head["scheme"] = SCHEME_BYTES[scheme]
+    head["n"], head["d"], head["k"], head["seed"] = n, d, k, seed
+    head["bits"] = payloads.lengths
+    return head.tobytes() + payloads.data.tobytes()
+
+
+def frame_decode(buf: bytes, rows: int) -> tuple[np.ndarray, BitRows]:
+    """The headers (a HEADER_DTYPE array) and payloads of a frame of
+    `rows` messages. Each check runs over every row, in message_decode's
+    order, and raises its error: BadMagicError, UnknownSchemeError,
+    LengthMismatchError when the declared bit lengths do not fill the
+    buffer, MalformedStreamError on nonzero padding."""
+    size = rows * HEADER_BYTES
+    if len(buf) < size:
+        raise LengthMismatchError(
+            f"buffer of {len(buf)} bytes is shorter than {rows} "
+            f"{HEADER_BYTES}-byte headers"
+        )
+    head = np.frombuffer(buf, dtype=HEADER_DTYPE, count=rows)
+    bad = np.flatnonzero(head["magic"] != MAGIC)
+    if bad.size:
+        start = int(bad[0]) * HEADER_BYTES
+        raise BadMagicError(f"message {bad[0]}: bad magic {bytes(buf[start : start + 4])!r}")
+    bad = np.flatnonzero(~_KNOWN_SCHEME_BYTES[head["scheme"]])
+    if bad.size:
+        raise UnknownSchemeError(
+            f"message {bad[0]}: unknown scheme byte {head['scheme'][bad[0]]}"
+        )
+    bits = head["bits"].astype(np.int64)
+    payloads = BitRows(np.frombuffer(buf, dtype=np.uint8, offset=size), bits)
+    pad = ((bits + 7) >> 3) * 8 - bits
+    padded = np.flatnonzero(pad)
+    last = payloads.data[payloads.ends[padded] - 1]
+    bad = padded[(last & ((1 << pad[padded]) - 1)) != 0]
+    if bad.size:
+        raise MalformedStreamError(
+            f"message {bad[0]}: nonzero padding bits", int(bits[bad[0]])
+        )
+    return head, payloads
+
+
 def message_encode(msg: WireMessage) -> bytes:
-    header = _HEADER_STRUCT.pack(
-        MAGIC,
-        SCHEME_BYTES[msg.scheme],
-        msg.n,
-        msg.d,
-        msg.k,
-        msg.seed,
-        msg.payload.length,
+    return frame_encode(
+        msg.scheme, msg.n, msg.d, msg.k, msg.seed, BitRows.from_streams([msg.payload])
     )
-    return header + msg.payload.data
 
 
 def message_decode(buf: bytes) -> WireMessage:
-    if len(buf) < HEADER_BYTES:
-        raise LengthMismatchError(
-            f"buffer of {len(buf)} bytes is shorter than the {HEADER_BYTES}-byte header"
-        )
-    magic, scheme_byte, n, d, k, seed, bitlen = _HEADER_STRUCT.unpack_from(buf)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if scheme_byte not in SCHEME_NAMES:
-        raise UnknownSchemeError(f"unknown scheme byte {scheme_byte}")
-    payload_bytes = (bitlen + 7) // 8
-    if len(buf) != HEADER_BYTES + payload_bytes:
-        raise LengthMismatchError(
-            f"declared {bitlen} payload bits ({payload_bytes} bytes), "
-            f"buffer carries {len(buf) - HEADER_BYTES}"
-        )
-    data = buf[HEADER_BYTES:]
-    pad = payload_bytes * 8 - bitlen
-    if pad and (data[-1] & ((1 << pad) - 1)):
-        raise MalformedStreamError("nonzero padding bits", bitlen)
+    head, payloads = frame_decode(buf, 1)
+    h = head[0]
     return WireMessage(
-        scheme=SCHEME_NAMES[scheme_byte],
-        n=n,
-        d=d,
-        k=k,
-        seed=seed,
-        payload=BitStream(data, bitlen),
+        scheme=SCHEME_NAMES[int(h["scheme"])],
+        n=int(h["n"]),
+        d=int(h["d"]),
+        k=int(h["k"]),
+        seed=int(h["seed"]),
+        payload=payloads[0],
     )

@@ -7,11 +7,12 @@ run_round is the same engine at one trial, the tasks' aggregation round.
 The per-trial randomness comes from counter-based sub-seeds, so trials
 are independent work units and the reported numbers do not depend on the
 internal chunk size. Every message of every trial is priced exactly by
-its Scheme's message_bits. For the first bit_trials trials each message
-is also built (Scheme.payloads), sent through the wire format and read
-back (Scheme.decode); the run asserts the decoded indices match the
-simulation exactly and that every payload is as long as priced
-(serializing millions of messages would add nothing but time).
+its Scheme's message_bits. For the first bit_trials trials the messages
+are also built (Scheme.payloads), sent through the wire format as one
+frame per trial and read back (Scheme.decode); the run asserts the
+headers and decoded indices match the simulation exactly and that every
+payload is as long as priced (serializing millions of messages would add
+nothing but time).
 
 Also here: the synthetic dataset generators, including the two-point and
 constant-grid families used by the lower-bound floor checks, the closed
@@ -41,14 +42,14 @@ from .randomness import (
 from .scalar_quant import ScalarBatch, concentration_stats, uniform_grid_cells
 from .vector_quant import (
     VectorBatch,
-    append_scale_tail,
     cq_decode,
     cq_encode,
     next_pow2,
     rotate,
     rotation_scale,
+    scale_tail_bits,
     sign_scale_kernel,
-    split_scale_tail,
+    tail_scales,
     unrotate,
     vector_concentration,
 )
@@ -92,42 +93,44 @@ class Scheme(NamedTuple):
         lengths = (2 * bit_length - 1).astype(np.uint8)  # at most 33 bits
         return fixed + lengths[indices].sum(axis=-2, dtype=np.int64)
 
-    def payloads(self, indices_nd, k: int, scales, bits) -> list[bc.BitStream]:
+    def payloads(self, indices_nd, k: int, scales, bits) -> bc.BitRows:
         """One payload per row of indices_nd (n, dp): the indices at
-        ceil(log2 k) bits each (or zig-zag plus Elias gamma), then the
-        float64 scale tail. Raises RuntimeError unless every message is
-        as long as bits (n,), its price, says."""
+        ceil(log2 k) bits each, then the float64 scale tail if the scheme
+        has one, or the zig-zag plus Elias gamma codewords of the indices
+        (no gamma scheme has a tail). Raises RuntimeError unless every
+        message is as long as bits (n,), its price, says."""
         k = self.wire_levels(k)
         if self.gamma:
-            out = [
+            out = bc.BitRows.from_streams([
                 bc.elias_gamma_encode_many(bc.zigzag_encode(row, k))
                 for row in indices_nd
-            ]
+            ])
         else:
-            out = bc.pack_fixed_rows(indices_nd, k)
-        if self.scale_tail:
-            out = [append_scale_tail(p, float(s)) for p, s in zip(out, scales)]
-        if any(bc.HEADER_BITS + p.length != b for p, b in zip(out, bits)):
+            body = bc.fixed_width_bits(indices_nd, k)
+            if self.scale_tail:
+                body = np.concatenate([body, scale_tail_bits(scales)], axis=1)
+            out = bc.BitRows.from_bits(body)
+        if not np.array_equal(bc.HEADER_BITS + out.lengths, bits):
             raise RuntimeError(f"a {self.name} payload differs from its price")
         return out
 
-    def decode(self, payloads: Sequence[bc.BitStream], k: int):
+    def decode(self, payloads: bc.BitRows, k: int):
         """Indices (n, dp) and scales (n,) or None of one trial's payloads."""
         k = self.wire_levels(k)
-        scales = None
+        if self.gamma:
+            rows = [
+                bc.zigzag_decode(np.asarray(bc.elias_gamma_decode(p), dtype=np.int64), k)
+                for p in payloads
+            ]
+            if len({len(row) for row in rows}) != 1:
+                raise RuntimeError(f"{self.name} payloads decode to unequal lengths")
+            return np.stack(rows), None
+        bits, scales = payloads.bit_matrix(), None
         if self.scale_tail:
-            split = [split_scale_tail(p) for p in payloads]
-            payloads = [body for body, _ in split]
-            scales = np.array([scale for _, scale in split])
-        if not self.gamma:
-            return bc.unpack_fixed_rows(payloads, k), scales
-        rows = [
-            bc.zigzag_decode(np.asarray(bc.elias_gamma_decode(p), dtype=np.int64), k)
-            for p in payloads
-        ]
-        if len({len(row) for row in rows}) != 1:
-            raise RuntimeError(f"{self.name} payloads decode to unequal lengths")
-        return np.stack(rows), scales
+            if bits.shape[1] < 64:
+                raise bc.MalformedStreamError("payload too short for scale tail", 0)
+            bits, scales = bits[:, :-64], tail_scales(bits[:, -64:])
+        return bc.fixed_width_indices(bits, k), scales
 
     @property
     def randomness(self) -> str:
@@ -527,19 +530,17 @@ def _prepare(batch, scheme: str, k: int) -> _Prepared:
     return _Prepared(spec, n, d, d, k, lower, width, y_dn=y_dn, grid=grid)
 
 
-def _quantize(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None):
-    """Wire indices and normalized decoded values for y in [0, 1] on the
-    (..., dp, n) layout; grid is y's uniform-grid split when precomputed."""
+def _encode(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None) -> np.ndarray:
+    """Wire indices for y in [0, 1] on the (..., dp, n) layout; grid is
+    y's uniform-grid split when precomputed."""
     if prep.scheme.rule == "correlated":
-        idx = cq_encode(
+        return cq_encode(
             y, ctx.permutations, ctx.offset_units, ctx.grid_offsets, prep.k
         )
-        return idx, cq_decode(idx, ctx.grid_offsets, prep.k)
     cells, frac = grid if grid is not None else uniform_grid_cells(
         y * (prep.k - 1), prep.k
     )
-    idx = cells + (private_uniforms(seeds, prep.dp, prep.n) < frac)
-    return idx, idx / (prep.k - 1)
+    return cells + (private_uniforms(seeds, prep.dp, prep.n) < frac)
 
 
 def _evaluate_chunk(
@@ -567,21 +568,31 @@ def _evaluate_chunk(
         scales = np.broadcast_to(prep.tern_scales, (len(seeds), prep.n))
         return trits * prep.tern_scales, trits.astype(np.int64) + 1, scales, 0, None
     if not spec.rotated:
-        idx, vals = _quantize(prep, seeds, ctx, prep.y_dn, prep.grid)
+        signs, clips = None, 0
+        idx = _encode(prep, seeds, ctx, prep.y_dn, prep.grid)
+    else:
+        # the rotated family: shared signs, rotate, quantize; the server
+        # un-rotates (_Prepared.estimates)
+        signs = ctx.rotation_signs if ctx is not None else rotation_signs(seeds, prep.dp)
+        rotated = rotate(prep.x_pad, signs[:, None, :])
+        if spec.rule == "sign":
+            bits, scales = sign_scale_kernel(rotated)
+            values = scales[..., None] * (2.0 * bits - 1.0)
+            return values, bits.transpose(0, 2, 1), scales, 0, signs
+        scaled = rotated * prep.scale
+        clips = int(np.count_nonzero(np.abs(scaled) > 1.0))
+        y = ((np.clip(scaled, -1.0, 1.0) + 1.0) / 2.0).transpose(0, 2, 1)
+        idx = _encode(prep, seeds, ctx, y)
+    if spec.rule != "correlated":
+        vals = idx / (prep.k - 1)
+    else:
+        # drop the chunk's permutations and offsets before the decode
+        # allocates, which then reuses their memory instead of growing the
+        # heap (unless the caller still holds them)
+        grid_offsets, ctx = ctx.grid_offsets, None
+        vals = cq_decode(idx, grid_offsets, prep.k)
+    if not spec.rotated:
         return vals, idx, None, 0, None
-
-    # the rotated family: shared signs, rotate, quantize; the server
-    # un-rotates (_Prepared.estimates)
-    signs = ctx.rotation_signs if ctx is not None else rotation_signs(seeds, prep.dp)
-    rotated = rotate(prep.x_pad, signs[:, None, :])
-    if spec.rule == "sign":
-        bits, scales = sign_scale_kernel(rotated)
-        values = scales[..., None] * (2.0 * bits - 1.0)
-        return values, bits.transpose(0, 2, 1), scales, 0, signs
-    scaled = rotated * prep.scale
-    clips = int(np.count_nonzero(np.abs(scaled) > 1.0))
-    y = ((np.clip(scaled, -1.0, 1.0) + 1.0) / 2.0).transpose(0, 2, 1)
-    idx, vals = _quantize(prep, seeds, ctx, y)
     z = (-1.0 + 2.0 * vals).transpose(0, 2, 1) / prep.scale
     return z, idx, None, clips, signs
 
@@ -589,20 +600,20 @@ def _evaluate_chunk(
 def _audit_wire(
     prep: _Prepared, seed: int, idx: np.ndarray, scales, bits: np.ndarray
 ) -> None:
-    """Serialize one trial's messages (indices idx (dp, n), scales, prices
-    bits) for real; assert the wire round trip reproduces the engine's
-    indices (and scales) exactly."""
+    """Send one trial's messages (indices idx (dp, n), scales, prices bits)
+    through the wire format as one frame and parse them back; assert every
+    header and the decoded indices (and scales) arrive exactly as sent."""
     spec, indices = prep.scheme, idx.T
-    received = []
-    for payload in spec.payloads(indices, prep.k, scales, bits):
-        msg = bc.WireMessage(
-            scheme=spec.name, n=prep.n, d=prep.dp, k=prep.k, seed=seed,
-            payload=payload,
-        )
-        back = bc.message_decode(bc.message_encode(msg))
-        if back != msg:
-            raise RuntimeError(f"wire round trip altered a {spec.name} message")
-        received.append(back.payload)
+    sent = spec.payloads(indices, prep.k, scales, bits)
+    head, received = bc.frame_decode(
+        bc.frame_encode(spec.name, prep.n, prep.dp, prep.k, seed, sent), prep.n
+    )
+    fields = {"scheme": bc.SCHEME_BYTES[spec.name], "n": prep.n, "d": prep.dp,
+              "k": prep.k, "seed": seed}
+    if not np.array_equal(received.lengths, sent.lengths) or any(
+        (head[name] != value).any() for name, value in fields.items()
+    ):
+        raise RuntimeError(f"wire round trip altered a {spec.name} message")
     got_idx, got_scales = spec.decode(received, prep.k)
     if not np.array_equal(got_idx, indices):
         raise RuntimeError(f"wire decode disagrees with engine for {spec.name}")
@@ -634,9 +645,12 @@ def run_round(
     run_dme prices them. ctx, a caller's shared randomness, replaces the
     shared streams the key would build (private rounding still comes from
     the key); it must have the round's n and its (padded) d, and for the
-    correlated rule its wire k, or ValueError is raised."""
+    correlated rule its wire k, or ValueError is raised. The unrotated
+    private-rounding schemes read no shared randomness and take no ctx."""
     prep = _prepare(batch, scheme, k)
     arrays = None
+    if ctx is not None and prep.scheme.randomness == "private" and not prep.scheme.rotated:
+        raise ValueError(f"{scheme} reads no shared randomness; got a context")
     if ctx is not None:
         want = {"n": prep.n, "d": prep.dp}
         if prep.scheme.rule == "correlated":

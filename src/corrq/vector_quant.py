@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -242,10 +241,21 @@ def cq_decode(indices, grid_offsets, k: int):
 # ---------------------------------------------------------------------------
 
 
+def scale_tail_bits(scales) -> np.ndarray:
+    """Each float64 scale's IEEE-754 bits, most significant byte first, as
+    a (rows, 64) 0/1 array: the tail that follows a payload's indices."""
+    raw = np.asarray(scales, dtype=">f8").reshape(-1, 1).view(np.uint8)
+    return np.unpackbits(raw, axis=-1)
+
+
+def tail_scales(bits: np.ndarray) -> np.ndarray:
+    """Inverse of scale_tail_bits: the float64 scales of (rows, 64) bits."""
+    return np.packbits(bits, axis=-1).view(">f8")[:, 0].astype(np.float64)
+
+
 def append_scale_tail(stream: bc.BitStream, scale: float) -> bc.BitStream:
     """Append a float64 scale (IEEE-754 bits, most significant byte first)."""
-    tail = np.unpackbits(np.frombuffer(struct.pack(">d", scale), dtype=np.uint8))
-    bits = np.concatenate([stream.bits(), tail])
+    bits = np.concatenate([stream.bits(), scale_tail_bits([scale])[0]])
     return bc.BitStream(np.packbits(bits).tobytes(), bits.size)
 
 
@@ -255,7 +265,7 @@ def split_scale_tail(stream: bc.BitStream) -> tuple[bc.BitStream, float]:
         raise bc.MalformedStreamError("payload too short for scale tail", 0)
     bits = stream.bits()
     head, tail = bits[:-64], bits[-64:]
-    scale = struct.unpack(">d", np.packbits(tail).tobytes())[0]
+    scale = float(tail_scales(tail[None])[0])
     return bc.BitStream(np.packbits(head).tobytes(), head.size), scale
 
 

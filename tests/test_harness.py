@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrq import bitcodec as bc
 from corrq import harness as hz
@@ -139,6 +141,109 @@ def test_run_round_bits_are_the_serialized_payload_lengths(scheme):
                 spec.payloads(r.indices, k, r.scales, r.bits + 1)
 
 
+def _trial_frame(scheme, n, d, k, seed):
+    """A round's payloads, its wire header fields and their frame."""
+    spec = hz.SCHEME_TABLE[scheme]
+    rng = np.random.default_rng(seed % 2**32)
+    r = hz.run_round(VectorBatch.from_vectors(rng.normal(size=(n, d))), scheme, k, seed)
+    payloads = spec.payloads(r.indices, k, r.scales, r.bits)
+    header = (scheme, n, r.indices.shape[1], spec.wire_levels(k), seed)
+    return payloads, header, bc.frame_encode(*header, payloads)
+
+
+def _frame_rows(buf, payloads):
+    """Each message of a frame: its header row, then its payload bytes."""
+    n, body = len(payloads), bc.HEADER_BYTES * len(payloads)
+    starts = np.concatenate([[0], payloads.ends[:-1]])
+    return [
+        buf[i * bc.HEADER_BYTES : (i + 1) * bc.HEADER_BYTES]
+        + buf[body + starts[i] : body + payloads.ends[i]]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("scheme", hz.SCHEMES)
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    d=st.integers(1, 40),
+    k=st.integers(2, 40),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_frame_rows_are_the_encoded_messages(scheme, n, d, k, seed):
+    payloads, header, buf = _trial_frame(scheme, n, d, k, seed)
+    assert len(buf) == n * bc.HEADER_BYTES + payloads.data.size
+    for row, payload in zip(_frame_rows(buf, payloads), payloads):
+        assert row == bc.message_encode(bc.WireMessage(*header, payload))
+    head, back = bc.frame_decode(buf, n)
+    assert [bytes(h) for h in head["magic"]] == [bc.MAGIC] * n
+    assert (head["scheme"] == bc.SCHEME_BYTES[scheme]).all()
+    assert (head["n"] == n).all() and (head["seed"] == seed).all()
+    assert list(back) == list(payloads)
+
+
+# (header byte or None for the payload's last byte, how to corrupt it)
+CORRUPTIONS = {
+    bc.BadMagicError: (0, lambda b: b ^ 0x20),
+    bc.UnknownSchemeError: (4, lambda b: 200),
+    bc.LengthMismatchError: (23, lambda b: b + 8),  # bit length + 8
+    bc.MalformedStreamError: (None, lambda b: b | 1),  # a padding bit
+}
+
+
+@pytest.mark.parametrize("error", list(CORRUPTIONS), ids=lambda e: e.__name__)
+def test_a_corrupted_frame_row_raises_what_message_decode_raises(error):
+    # 13 one-bit payloads leave 3 padding bits in every message
+    payloads, _, buf = _trial_frame("correlated-1bit", 6, 13, 2, 9)
+    where, corrupt = CORRUPTIONS[error]
+    body = 6 * bc.HEADER_BYTES
+    for i in range(6):
+        pos = body + payloads.ends[i] - 1 if where is None else i * bc.HEADER_BYTES + where
+        frame = bytearray(buf)
+        frame[pos] = corrupt(frame[pos])
+        row = _frame_rows(bytes(frame), payloads)[i]
+        with pytest.raises(error):
+            bc.message_decode(row)
+        with pytest.raises(error):
+            bc.frame_decode(bytes(frame), 6)
+
+
+@pytest.mark.parametrize(
+    "scheme, tamper, message",
+    [
+        ("correlated-1bit", "index", "disagrees with engine"),
+        ("rotate-sign", "index", "disagrees with engine"),
+        ("terngrad", "scale", "scale round trip"),
+        ("rotate-sign", "scale", "scale round trip"),
+        ("correlated-klevel", "seed", "altered"),
+    ],
+)
+def test_audit_catches_an_altered_message(monkeypatch, scheme, tamper, message):
+    # run_dme's wire audit must notice one received index, scale or header
+    # field that differs from what the engine sent
+    decode = bc.frame_decode
+
+    def tampered(buf, rows):
+        head, payloads = decode(buf, rows)
+        data, head = payloads.data.copy(), head.copy()
+        if tamper == "seed":
+            head["seed"][rows - 1] ^= 1
+        else:
+            # the first message's last index bit, or the lowest mantissa
+            # bit of its scale tail
+            tail = tamper == "index" and hz.SCHEME_TABLE[scheme].scale_tail
+            bit = int(payloads.lengths[0]) - (65 if tail else 1)
+            data[bit // 8] ^= 0x80 >> (bit % 8)
+        return head, bc.BitRows(data, payloads.lengths)
+
+    batch = VectorBatch.from_vectors(np.random.default_rng(4).normal(size=(5, 7)))
+    k = 2 if scheme == "correlated-1bit" else 4
+    assert hz.run_dme(batch, scheme, trials=2, seed=1, k=k, bit_trials=1).trials == 2
+    monkeypatch.setattr(bc, "frame_decode", tampered)
+    with pytest.raises(RuntimeError, match=message):
+        hz.run_dme(batch, scheme, trials=2, seed=1, k=k, bit_trials=1)
+
+
 @pytest.mark.parametrize("scheme", hz.SCHEMES)
 def test_both_entry_points_check_scheme_and_input_kind(scheme):
     # run_round once raised AttributeError or ran silently where run_dme
@@ -178,8 +283,10 @@ CONTEXT_OPS = {
 @pytest.mark.parametrize("scheme", hz.SCHEMES)
 def test_round_context_must_match_n_d_and_k(scheme):
     # run_round once broadcast a one-client context over every client, and
-    # read a k=8 grid in a k=4 round
+    # read a k=8 grid in a k=4 round; the unrotated private-rounding
+    # schemes once accepted a context and ignored it
     spec = hz.SCHEME_TABLE[scheme]
+    reads_context = spec.randomness != "private" or spec.rotated
     k = spec.wire_levels(4)
     rng = np.random.default_rng(3)
     batches = [VectorBatch.from_vectors(rng.normal(size=(5, 6)))]
@@ -197,7 +304,11 @@ def test_round_context_must_match_n_d_and_k(scheme):
         calls += [op for op, on_scalar in CONTEXT_OPS.get(scheme, [])
                   if on_scalar == scalar]
         for call in calls:
-            call(batch, build_context(1, 5, m, k))
+            if reads_context:
+                call(batch, build_context(1, 5, m, k))
+            else:
+                with pytest.raises(ValueError, match="context"):
+                    call(batch, build_context(1, 5, m, k))
             for ctx in wrong:
                 with pytest.raises(ValueError, match="context"):
                     call(batch, ctx)

@@ -2,12 +2,14 @@
 
 import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corrq import randomness as rd
 from corrq.randomness import (
     GOLDEN,
     MASK64,
@@ -196,6 +198,45 @@ def test_permutation_is_the_stable_argsort_of_its_stream():
     assert np.array_equal(
         arrays.permutations, np.argsort(raw, axis=-1, kind="stable")
     )
+
+
+# client counts at and beside every power of two up to 2**11, above the
+# packed sort's range included
+EDGE_CLIENTS = sorted({max(1, 2**b + e) for b in range(12) for e in (-1, 0, 1)})
+
+
+def test_packed_sort_is_the_stable_argsort():
+    paths = {"packed": 0, "fallback": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from(EDGE_CLIENTS), st.integers(1, 1100)),
+        rows=st.integers(1, 5),
+        ties=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, rows, ties, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2**64, size=(rows, n), dtype=np.uint64, endpoint=False)
+        # a packed key keeps a value's top 32 - b bits: copy them from one
+        # client onto another of the same row
+        kept = np.uint64((1 << (32 + (n - 1).bit_length())) - 1)
+        for _ in range(ties if n > 1 else 0):
+            r = rng.integers(rows)
+            i, j = rng.choice(n, size=2, replace=False)
+            values[r, j] = (values[r, i] & ~kept) | (values[r, j] & kept)
+        assume(all(len(np.unique(row)) == n for row in values))
+        want = np.argsort(values, axis=-1, kind="stable")
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            got = rd._argsort_in_place(values.copy())
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        if n in rd._PACKED_CLIENTS:
+            paths["packed"] += 1
+            paths["fallback"] += spy.call_count
+
+    check()
+    assert paths["packed"] > 0 and paths["fallback"] > 0, paths
 
 
 # sha256 prefixes of the streams as first released, for 0-d, (C,) and
