@@ -118,19 +118,12 @@ class BitStream:
             np.frombuffer(self.data, dtype=np.uint8), count=self.length
         )
 
-    def to_bitstring(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits())
-
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitStream":
         arr = np.asarray(list(bits), dtype=np.uint8)
         if arr.size and arr.max() > 1:
             raise InvalidParameterError("bits must be 0 or 1")
         return cls(data=np.packbits(arr).tobytes(), length=int(arr.size))
-
-    @classmethod
-    def from_bitstring(cls, text: str) -> "BitStream":
-        return cls.from_bits(int(c) for c in text)
 
 
 @dataclass(frozen=True, eq=False)

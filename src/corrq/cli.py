@@ -208,7 +208,10 @@ def _apply_config(
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"--out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -31,8 +31,6 @@ import numpy as np
 from . import bitcodec as bc
 from .randomness import (
     MASK64,
-    ContextArrays,
-    RandomnessContext,
     build_context_arrays,
     derive_key,
     private_uniforms,
@@ -543,12 +541,9 @@ def _encode(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None) -> np.ndarray
     return cells + (private_uniforms(seeds, prep.dp, prep.n) < frac)
 
 
-def _evaluate_chunk(
-    prep: _Prepared, seeds: np.ndarray, ctx: ContextArrays | None = None
-):
-    """One trial per seed, building only the randomness the scheme reads
-    (ctx, when given, is the trials' shared randomness, read in place of
-    the seeds' own); returns (values, indices, scales, clips, signs).
+def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
+    """One trial per seed, building only the randomness the scheme reads;
+    returns (values, indices, scales, clips, signs).
 
     values are the decoded client values: in data units on the (C, d, n)
     layout for the unrotated schemes; on the (C, n, dp) layout in the
@@ -557,8 +552,8 @@ def _evaluate_chunk(
     are sent on the wire, scales (C, n) ride in the scale tail, and clips
     counts the coordinates clipped into [-1, 1].
     """
-    spec = prep.scheme
-    if ctx is None and spec.randomness == "context":
+    spec, ctx = prep.scheme, None
+    if spec.randomness == "context":
         ctx = build_context_arrays(
             seeds, prep.n, prep.dp, prep.k, grid=prep.k > 2, signs=spec.rotated
         )
@@ -588,7 +583,7 @@ def _evaluate_chunk(
     else:
         # drop the chunk's permutations and offsets before the decode
         # allocates, which then reuses their memory instead of growing the
-        # heap (unless the caller still holds them)
+        # heap
         grid_offsets, ctx = ctx.grid_offsets, None
         vals = cq_decode(idx, grid_offsets, prep.k)
     if not spec.rotated:
@@ -637,33 +632,15 @@ class Round(NamedTuple):
 
 
 def run_round(
-    batch: ScalarBatch | VectorBatch, scheme: str, k: int, key: int,
-    ctx: RandomnessContext | None = None,
+    batch: ScalarBatch | VectorBatch, scheme: str, k: int, key: int
 ) -> Round:
-    """The engine at one trial keyed `key` (reduced mod 2**64). Each
-    client's bits are its message's price, Scheme.message_bits, as
-    run_dme prices them. ctx, a caller's shared randomness, replaces the
-    shared streams the key would build (private rounding still comes from
-    the key); it must have the round's n and its (padded) d, and for the
-    correlated rule its wire k, or ValueError is raised. The unrotated
-    private-rounding schemes read no shared randomness and take no ctx."""
+    """The engine at one trial keyed `key` (reduced mod 2**64): the shared
+    randomness is build_context(key, n, padded d, k) and private rounding
+    comes from the same key. Each client's bits are its message's price,
+    Scheme.message_bits, as run_dme prices them."""
     prep = _prepare(batch, scheme, k)
-    arrays = None
-    if ctx is not None and prep.scheme.randomness == "private" and not prep.scheme.rotated:
-        raise ValueError(f"{scheme} reads no shared randomness; got a context")
-    if ctx is not None:
-        want = {"n": prep.n, "d": prep.dp}
-        if prep.scheme.rule == "correlated":
-            want["k"] = prep.k
-        for name, value in want.items():
-            if getattr(ctx, name) != value:
-                raise ValueError(
-                    f"{scheme} round needs a context with {name}={value}, "
-                    f"got {name}={getattr(ctx, name)}"
-                )
-        arrays = ctx.arrays()
     values, idx, scales, clips, signs = _evaluate_chunk(
-        prep, np.array([int(key) & MASK64], dtype=np.uint64), arrays
+        prep, np.array([int(key) & MASK64], dtype=np.uint64)
     )
     bits = np.array(prep.scheme.message_bits(idx, prep.k)[0])
     scales = None if scales is None else scales[0]

@@ -319,36 +319,23 @@ class RandomnessContext:
             return NotImplemented
         return (self.seed, self.n, self.d, self.k) == (
             other.seed, other.n, other.d, other.k
-        ) and all(map(np.array_equal, self.arrays(), other.arrays()))
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Per-client offsets gamma in [0, 1/n), shape (d, n)."""
-        return self.offset_units / self.n
-
-    def client_uniform(self, i: int, j: int = 0) -> float:
-        """U_i(j) = (pi_j(i) + unit_i(j)) / n, uniform on [0, 1)."""
-        return float(
-            (self.permutations[j, i] + self.offset_units[j, i]) / self.n
+        ) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ContextArrays._fields
         )
 
     def client_uniforms(self, j: int = 0) -> np.ndarray:
         """All n client uniforms for coordinate j."""
         return (self.permutations[j] + self.offset_units[j]) / self.n
 
-    def arrays(self) -> ContextArrays:
-        """The context as one trial of the batched layout (leading axis 1)."""
-        return ContextArrays(
-            self.permutations[None], self.offset_units[None],
-            self.grid_offsets[None], self.rotation_signs[None],
-        )
-
 
 def build_context(seed: int, n: int, d: int = 1, k: int = 2) -> RandomnessContext:
     """Materialize the shared randomness for one round.
 
     Parameters are validated; the seed is reduced mod 2**64. The context is
-    a pure function of (seed, n, d, k).
+    a pure function of (seed, n, d, k): the streams that
+    harness.run_round(batch, scheme, k, seed) reads for n clients over d
+    (padded, for the rotated schemes) coordinates.
     """
     if n < 1:
         raise ValueError(f"need at least one client, got n={n}")

@@ -9,10 +9,10 @@ independent stochastic quantizer is the classical baseline.
 
 All quantizer cores are shape-generic: inputs may carry arbitrary leading
 batch axes (the Monte Carlo harness prepends a trial axis), with clients on
-the last axis. Each single-round op at the end is one call of the
-harness engine, harness.run_round, and returns its Round: per_client and
-indices in the (n, 1) layout, the wire bits of each client, and the
-estimate as a (1,) array.
+the last axis. Each single-round op at the end takes the round key, is
+one call of the harness engine, harness.run_round(batch, scheme, k, key),
+and returns its Round: per_client and indices in the (n, 1) layout, the
+wire bits of each client, and the estimate as a (1,) array.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .randomness import RandomnessContext
 
 if TYPE_CHECKING:
     from .harness import Round
@@ -65,10 +63,6 @@ class ScalarBatch:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    def normalized(self) -> np.ndarray:
-        """Values mapped to [0, 1]."""
-        return (self.values - self.lower) / self.width
 
     def mean(self) -> float:
         """Batch mean via a pivot-shifted compensated sum.
@@ -161,13 +155,13 @@ def uniform_grid_cells(y: np.ndarray, k: int):
 # ---------------------------------------------------------------------------
 
 
-def _round(batch, scheme: str, k: int, key: int = 0, ctx=None) -> Round:
+def _round(batch, scheme: str, k: int, key: int) -> Round:
     from .harness import run_round  # harness imports this module
 
-    return run_round(batch, scheme, k, key, ctx)
+    return run_round(batch, scheme, k, key)
 
 
-def one_bit_cq(batch: ScalarBatch, ctx: RandomnessContext) -> Round:
+def one_bit_cq(batch: ScalarBatch, key: int) -> Round:
     """Correlated one-bit quantizer.
 
     Client i sends 1{U_i < y_i} for the shared correlated uniform U_i and
@@ -176,11 +170,11 @@ def one_bit_cq(batch: ScalarBatch, ctx: RandomnessContext) -> Round:
     replacement, so the aggregate error tracks the batch's mean absolute
     deviation.
     """
-    return _round(batch, "correlated-1bit", 2, ctx=ctx)
+    return _round(batch, "correlated-1bit", 2, key)
 
 
-def k_level_cq(batch: ScalarBatch, ctx: RandomnessContext) -> Round:
-    """Correlated k-level quantizer on the randomized grid, k = ctx.k.
+def k_level_cq(batch: ScalarBatch, k: int, key: int) -> Round:
+    """Correlated k-level quantizer on the randomized grid.
 
     Client i locates the largest level c strictly below its normalized
     value, computes the cell fraction f, and sends the index of
@@ -191,7 +185,7 @@ def k_level_cq(batch: ScalarBatch, ctx: RandomnessContext) -> Round:
     1.5x the range and is strictly dominated by the plain one-bit rule,
     which uses the same single bit.
     """
-    return _round(batch, "correlated-klevel", ctx.k, ctx=ctx)
+    return _round(batch, "correlated-klevel", k, key)
 
 
 def independent_sq(batch: ScalarBatch, k: int, key: int) -> Round:

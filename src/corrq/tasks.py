@@ -59,7 +59,6 @@ class ShardedDataset:
 
     shards: tuple[np.ndarray, ...]
     labels: tuple[np.ndarray, ...] | None = None
-    source: str = "memory"
 
     def __post_init__(self) -> None:
         if len(self.shards) == 0:
@@ -129,12 +128,12 @@ class OptimizerConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.k < 2:
             raise ValueError("need k >= 2")
-        if self.radius_domain <= 0 or self.radius_grad <= 0:
-            raise ValueError("radii must be positive")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.local_epochs < 1 or self.local_lr <= 0:
-            raise ValueError("bad local update parameters")
+        for name in ("eta", "lr", "radius_domain", "radius_grad", "local_lr"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.local_epochs < 1:
+            raise ValueError("need local_epochs >= 1")
 
     def step_size(self, smoothness: float) -> float:
         if self.lr is not None:
@@ -158,10 +157,6 @@ class TaskResult:
     @property
     def final_metric(self) -> float:
         return self.metrics[-1]
-
-    @property
-    def bits_per_client_per_round(self) -> float:
-        return float(np.mean(self.bits_per_round))
 
     def to_csv(self) -> str:
         lines = ["round,metric,bits"]
@@ -735,7 +730,7 @@ def two_blob_fixture(
         b = rng.normal(size=(per_client - half, d)) + offset
         shards.append(np.concatenate([a, b]))
         labels.append(np.array([0] * half + [1] * (per_client - half)))
-    return ShardedDataset(tuple(shards), tuple(labels), source="two-blob")
+    return ShardedDataset(tuple(shards), tuple(labels))
 
 
 def mnist_like_fixture(
@@ -765,7 +760,7 @@ def mnist_like_fixture(
         shards.append(X)
         labels.append(y)
     X_test, y_test = draw(test_points)
-    data = ShardedDataset(tuple(shards), tuple(labels), source="mnist-like")
+    data = ShardedDataset(tuple(shards), tuple(labels))
     return data, (X_test, y_test)
 
 
@@ -784,7 +779,7 @@ def quadratic_problem_fixture(
         X = rng.normal(size=(per_client, d))
         shards.append(X)
         targets.append(X @ w_true + 0.1 * rng.normal(size=per_client))
-    data = ShardedDataset(tuple(shards), tuple(targets), source="quadratic")
+    data = ShardedDataset(tuple(shards), tuple(targets))
     return SgdProblem("quadratic", data)
 
 
@@ -807,7 +802,7 @@ def logistic_problem_fixture(
         margin = X @ w_true + 0.3 * rng.normal(size=per_client)
         shards.append(X)
         labels.append(np.where(margin >= 0, 1, -1))
-    data = ShardedDataset(tuple(shards), tuple(labels), source="logistic")
+    data = ShardedDataset(tuple(shards), tuple(labels))
     return SgdProblem("logistic", data, l2=l2)
 
 
@@ -872,9 +867,7 @@ def load_client_files(
         rows = np.array(_parse_rows(Path(p), features + 1, id_fields=1))
         labels.append(rows[:, 0].astype(np.int64))
         shards.append(rows[:, 1:] / 255.0)
-    return ShardedDataset(
-        tuple(shards), tuple(labels), source=";".join(str(p) for p in paths)
-    )
+    return ShardedDataset(tuple(shards), tuple(labels))
 
 
 def load_single_file(path: str | Path, features: int = 784) -> ShardedDataset:
@@ -888,4 +881,4 @@ def load_single_file(path: str | Path, features: int = 784) -> ShardedDataset:
         part = rows[ids == cid]
         labels.append(part[:, 1].astype(np.int64))
         shards.append(part[:, 2:] / 255.0)
-    return ShardedDataset(tuple(shards), tuple(labels), source=str(path))
+    return ShardedDataset(tuple(shards), tuple(labels))

@@ -18,9 +18,9 @@ Quantizer cores are shape-generic over leading batch axes, matching
 scalar_quant; the coordinate axis comes before the client axis in kernel
 layouts (d, n). The rotation W = H D / sqrt(m) is rotate and unrotate,
 with D the context's rotation signs over the padded dimension m. Each
-single-round op at the end is one call of the harness engine,
-harness.run_round (the code run_dme and the tasks run), and returns its
-Round.
+single-round op at the end takes the round key and is one call of the
+harness engine, harness.run_round(batch, scheme, k, key) (the code
+run_dme and the tasks run), and returns its Round.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import bitcodec as bc
-from .randomness import RandomnessContext
 from .scalar_quant import _round, correlated_bits, level_cells, level_spacing
 
 if TYPE_CHECKING:
@@ -274,29 +273,25 @@ def split_scale_tail(stream: bc.BitStream) -> tuple[bc.BitStream, float]:
 # ---------------------------------------------------------------------------
 
 
-def correlated_vector_cq(
-    batch: VectorBatch, ctx: RandomnessContext, k: int = 2
-) -> Round:
+def correlated_vector_cq(batch: VectorBatch, k: int, key: int) -> Round:
     """Coordinate-wise correlated quantization, fixed-width index coding."""
     scheme = "correlated-1bit" if k == 2 else "correlated-klevel"
-    return _round(batch, scheme, k, ctx=ctx)
+    return _round(batch, scheme, k, key)
 
 
-def entropy_cq(batch: VectorBatch, ctx: RandomnessContext, k: int) -> Round:
+def entropy_cq(batch: VectorBatch, k: int, key: int) -> Round:
     """Coordinate-wise correlated quantization with gamma-coded indices.
 
-    Identical estimates to correlated_vector_cq under the same context;
+    Identical estimates to correlated_vector_cq under the same key;
     only the payload coding differs. On ball-bounded data most
     coordinates sit near the middle of [-R, R], so the zig-zag plus gamma
     coding spends close to one bit per coordinate plus a logarithmic
     penalty for the outliers.
     """
-    return _round(batch, "entropy-cq", k, ctx=ctx)
+    return _round(batch, "entropy-cq", k, key)
 
 
-def walsh_hadamard_cq(
-    batch: VectorBatch, ctx: RandomnessContext, k: int = 2
-) -> Round:
+def walsh_hadamard_cq(batch: VectorBatch, k: int, key: int) -> Round:
     """Rotate, scale into [-1, 1], correlated-quantize, un-rotate.
 
     The shared rotation flattens every client vector so coordinates are
@@ -304,7 +299,7 @@ def walsh_hadamard_cq(
     the far tail is clipped (the only bias source, vanishing at rate
     (mn)^-4). Fixed-width payloads over the padded dimension.
     """
-    return _round(batch, "hadamard-cq", k, ctx=ctx)
+    return _round(batch, "hadamard-cq", k, key)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +345,11 @@ def sign_scale_kernel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits, scales
 
 
-def rotate_sign_baseline(batch: VectorBatch, ctx: RandomnessContext) -> Round:
+def rotate_sign_baseline(batch: VectorBatch, key: int) -> Round:
     """Simplified rotate-then-sign baseline (biased, deterministic).
 
     Rotate with the shared W, keep one sign bit per coordinate plus the
     l1 scale, un-rotate. A stand-in for sign-based one-bit schemes; it is
     intentionally not a faithful reproduction of any published method.
     """
-    return _round(batch, "rotate-sign", 2, ctx=ctx)
+    return _round(batch, "rotate-sign", 2, key)

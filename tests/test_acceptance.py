@@ -222,8 +222,7 @@ def test_codec_round_trips_and_exact_bit_counts():
     for d, k in ((5, 3), (8, 4), (12, 16)):
         vectors = np.random.default_rng(d).normal(size=(6, d))
         batch = VectorBatch.from_vectors(vectors)
-        ctx = build_context(3, n=6, d=vq.next_pow2(d), k=k)
-        rep = vq.walsh_hadamard_cq(batch, ctx, k=k)
+        rep = vq.walsh_hadamard_cq(batch, k, 3)
         want = bc.HEADER_BITS + vq.next_pow2(d) * bc.fixed_width(k)
         assert np.all(rep.bits == want), (d, k)
 

@@ -27,11 +27,21 @@ GAMMA_TABLE = {
 }
 
 
+def from_text(text: str) -> bc.BitStream:
+    """The BitStream of a string of 0s and 1s."""
+    return bc.BitStream.from_bits(map(int, text))
+
+
+def as_text(stream: bc.BitStream) -> str:
+    """A BitStream's bits as a string of 0s and 1s."""
+    return "".join(map(str, stream.bits()))
+
+
 class TestBitStream:
     def test_round_trips(self):
-        s = bc.BitStream.from_bitstring("1011001")
+        s = from_text("1011001")
         assert s.length == 7
-        assert s.to_bitstring() == "1011001"
+        assert as_text(s) == "1011001"
         assert list(s.bits()) == [1, 0, 1, 1, 0, 0, 1]
         assert bc.BitStream.from_bits(s.bits()) == s
 
@@ -49,15 +59,15 @@ class TestBitStream:
             bc.BitStream.from_bits([0, 2])
 
     def test_msb_first_layout(self):
-        s = bc.BitStream.from_bitstring("10000001")
+        s = from_text("10000001")
         assert s.data == b"\x81"
 
 
 class TestGamma:
     def test_known_codewords(self):
         for value, code in GAMMA_TABLE.items():
-            assert bc.elias_gamma_encode(value).to_bitstring() == code
-            assert bc.elias_gamma_decode(bc.BitStream.from_bitstring(code)) == [
+            assert as_text(bc.elias_gamma_encode(value)) == code
+            assert bc.elias_gamma_decode(from_text(code)) == [
                 value
             ]
 
@@ -65,9 +75,9 @@ class TestGamma:
         values = [1, 2, 3, 7, 100, 65535, 12]
         many = bc.elias_gamma_encode_many(values)
         joined = "".join(
-            bc.elias_gamma_encode(v).to_bitstring() for v in values
+            as_text(bc.elias_gamma_encode(v)) for v in values
         )
-        assert many.to_bitstring() == joined
+        assert as_text(many) == joined
         assert bc.elias_gamma_decode(many) == values
 
     def test_rejects_nonpositive(self):
@@ -85,7 +95,7 @@ class TestGamma:
 
     def test_dangling_zeros_rejected(self):
         with pytest.raises(bc.MalformedStreamError):
-            bc.elias_gamma_decode(bc.BitStream.from_bitstring("100"))
+            bc.elias_gamma_decode(from_text("100"))
 
 
 class TestFixedWidth:
@@ -114,7 +124,7 @@ class TestFixedWidth:
 
     def test_unpack_rejects_foreign_index(self):
         # width-3 pattern 111 decodes to 7, outside a 5-letter alphabet
-        bad = bc.BitStream.from_bitstring("111")
+        bad = from_text("111")
         with pytest.raises(bc.MalformedStreamError):
             bc.unpack_fixed(bad, 5)
 
@@ -132,8 +142,8 @@ class TestFixedWidth:
             bc.BitRows.from_streams(rows).bit_matrix()
 
     def test_rows_report_foreign_index_position(self):
-        rows = [bc.BitStream.from_bitstring("001010"),
-                bc.BitStream.from_bitstring("000111")]
+        rows = [from_text("001010"),
+                from_text("000111")]
         with pytest.raises(bc.MalformedStreamError) as err:
             bc.fixed_width_indices(bc.BitRows.from_streams(rows).bit_matrix(), 5)
         assert err.value.bit_offset == 3
@@ -161,7 +171,7 @@ class TestZigzag:
 
 class TestWireMessage:
     def test_header_layout_byte_for_byte(self):
-        payload = bc.BitStream.from_bitstring("10110")
+        payload = from_text("10110")
         msg = bc.WireMessage(
             scheme="correlated-klevel", n=300, d=70000, k=16,
             seed=0x1122334455667788, payload=payload,
@@ -227,7 +237,7 @@ class TestWireMessage:
 def _msg() -> bc.WireMessage:
     return bc.WireMessage(
         scheme="correlated-1bit", n=4, d=2, k=2, seed=99,
-        payload=bc.BitStream.from_bitstring("1010"),
+        payload=from_text("1010"),
     )
 
 
@@ -250,7 +260,7 @@ def gamma_decode_bit_by_bit(text: str):
 def test_gamma_decode_matches_bit_by_bit_reference(text):
     want = gamma_decode_bit_by_bit(text)
     try:
-        got = bc.elias_gamma_decode(bc.BitStream.from_bitstring(text))
+        got = bc.elias_gamma_decode(from_text(text))
     except bc.MalformedStreamError as err:
         got = ("error", err.bit_offset)
     assert got == want
@@ -266,14 +276,14 @@ def test_gamma_decode_across_small_windows(monkeypatch):
             rnd.getrandbits(b) | 1 << (b - 1)
             for b in (rnd.randint(1, 90) for _ in range(rnd.randint(0, 25)))
         ]
-        text = "".join(bc.elias_gamma_encode(v).to_bitstring() for v in values)
+        text = "".join(as_text(bc.elias_gamma_encode(v)) for v in values)
         if trial % 3 == 1:
             text = text[: rnd.randint(0, len(text))]
         elif trial % 3 == 2:
             text += "0" * rnd.randint(1, 40)
         want = gamma_decode_bit_by_bit(text)
         try:
-            got = bc.elias_gamma_decode(bc.BitStream.from_bitstring(text))
+            got = bc.elias_gamma_decode(from_text(text))
         except bc.MalformedStreamError as err:
             got = ("error", err.bit_offset)
         assert got == want, text
@@ -290,15 +300,15 @@ def test_gamma_decode_values_past_64_bits():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=1, max_value=2**300))
 def test_gamma_encode_writes_the_code_at_any_size(value):
-    code = bc.elias_gamma_encode(value).to_bitstring()
+    code = as_text(bc.elias_gamma_encode(value))
     assert code == "0" * (value.bit_length() - 1) + format(value, "b")
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=2**62), max_size=80))
 def test_gamma_encode_many_is_the_concatenation_of_single_codes(values):
-    joined = "".join(bc.elias_gamma_encode(v).to_bitstring() for v in values)
-    assert bc.elias_gamma_encode_many(values).to_bitstring() == joined
+    joined = "".join(as_text(bc.elias_gamma_encode(v)) for v in values)
+    assert as_text(bc.elias_gamma_encode_many(values)) == joined
 
 
 def test_gamma_encode_many_across_blocks():

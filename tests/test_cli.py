@@ -35,6 +35,15 @@ class TestDme:
         assert out == ""
         assert target.read_text().startswith("scheme,")
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "dme", "--n", "10", "--d", "4", "--trials", "5",
+            "--out", str(tmp_path / "missing" / "report.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+
     def test_non_finite_sigma_is_usage_error(self, capsys):
         for value in ("nan", "inf"):
             code, _, err = run(
@@ -251,6 +260,18 @@ class TestTasks:
         lines = out.strip().split("\n")
         assert len(lines) == 3
         assert 0.0 <= float(lines[-1].split(",")[1]) <= 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ("sgd", "--eta", "nan"), ("sgd", "--lr", "nan"), ("sgd", "--lr", "-1"),
+        ("sgd", "--radius-domain", "nan"), ("sgd", "--radius-grad", "inf"),
+        ("fedavg", "--local-lr", "nan"),
+    ])
+    def test_bad_optimizer_setting_is_a_usage_error(self, capsys, argv):
+        # these once printed NaN trajectories (or ascended) with exit 0
+        code, out, err = run(capsys, *argv, "--rounds", "2")
+        assert code == 2
+        assert out == ""
+        assert "must be positive and finite" in err
 
     @pytest.mark.parametrize("command", ["kmeans", "power", "sgd", "fedavg"])
     def test_one_level_is_a_usage_error(self, capsys, command):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from corrq import bitcodec as bc
 from corrq import harness as hz
 from corrq import scalar_quant as sq
-from corrq import vector_quant as vq
-from corrq.randomness import build_context, derive_key, trial_seeds
+from corrq.randomness import derive_key, trial_seeds
 from corrq.scalar_quant import ScalarBatch
 from corrq.vector_quant import VectorBatch
 from test_protocol_oracle import oracle_round
@@ -265,58 +264,6 @@ def test_both_entry_points_check_scheme_and_input_kind(scheme):
     ):
         with pytest.raises(ValueError, match="unknown scheme"):
             call()
-
-
-# scheme -> the single-round ops that run it on a caller's context, as
-# (op, takes a scalar batch); k_level_cq reads its k from the context
-CONTEXT_OPS = {
-    "correlated-1bit": [
-        (sq.one_bit_cq, True), (lambda b, c: vq.correlated_vector_cq(b, c), False),
-    ],
-    "correlated-klevel": [(lambda b, c: vq.correlated_vector_cq(b, c, 4), False)],
-    "entropy-cq": [(lambda b, c: vq.entropy_cq(b, c, 4), False)],
-    "hadamard-cq": [(lambda b, c: vq.walsh_hadamard_cq(b, c, 4), False)],
-    "rotate-sign": [(vq.rotate_sign_baseline, False)],
-}
-
-
-@pytest.mark.parametrize("scheme", hz.SCHEMES)
-def test_round_context_must_match_n_d_and_k(scheme):
-    # run_round once broadcast a one-client context over every client, and
-    # read a k=8 grid in a k=4 round; the unrotated private-rounding
-    # schemes once accepted a context and ignored it
-    spec = hz.SCHEME_TABLE[scheme]
-    reads_context = spec.randomness != "private" or spec.rotated
-    k = spec.wire_levels(4)
-    rng = np.random.default_rng(3)
-    batches = [VectorBatch.from_vectors(rng.normal(size=(5, 6)))]
-    if spec.scalar_ok:
-        batches.append(ScalarBatch(rng.random(5), 0.0, 1.0))
-    for batch in batches:
-        scalar = isinstance(batch, ScalarBatch)
-        d = 1 if scalar else batch.d
-        m = vq.next_pow2(d) if spec.rotated else d
-        wrong = [build_context(1, 1, m, k), build_context(1, 6, m, k),
-                 build_context(1, 5, m + 1, k)]
-        if spec.rule == "correlated":
-            wrong.append(build_context(1, 5, m, 8))
-        calls = [lambda b, c: hz.run_round(b, scheme, k, 0, c)]
-        calls += [op for op, on_scalar in CONTEXT_OPS.get(scheme, [])
-                  if on_scalar == scalar]
-        for call in calls:
-            if reads_context:
-                call(batch, build_context(1, 5, m, k))
-            else:
-                with pytest.raises(ValueError, match="context"):
-                    call(batch, build_context(1, 5, m, k))
-            for ctx in wrong:
-                with pytest.raises(ValueError, match="context"):
-                    call(batch, ctx)
-    if scheme == "correlated-klevel":
-        scalar = ScalarBatch(rng.random(5), 0.0, 1.0)
-        for ctx in (build_context(1, 1, 1, 4), build_context(1, 5, 2, 4)):
-            with pytest.raises(ValueError, match="context"):
-                sq.k_level_cq(scalar, ctx)
 
 
 class TestRunDme:

@@ -206,20 +206,27 @@ def test_oracle_recovers_a_shared_grid_exactly():
 
 
 def test_reference_ops_read_their_context_as_the_oracle_does():
-    # the ops hand a caller's context to the engine in place of the key's
+    # every single-round op keyed 9 reads build_context(9, ...) and the
+    # private stream of key 9, as the oracle does
     vecs = np.random.default_rng(6).normal(size=(7, 6))
     batch = VectorBatch.from_vectors(vecs)
-    ctx, ctx8 = build_context(9, n=7, d=6, k=4), build_context(9, n=7, d=8, k=4)
-    for scheme, rep in (
-        ("correlated-klevel", vq.correlated_vector_cq(batch, ctx, k=4)),
-        ("entropy-cq", vq.entropy_cq(batch, ctx, k=4)),
-        ("hadamard-cq", vq.walsh_hadamard_cq(batch, ctx8, k=4)),
-        ("rotate-sign", vq.rotate_sign_baseline(batch, build_context(9, 7, 8, 2))),
-    ):
-        want = oracle_round(batch, scheme, 4, 9)
-        assert np.array_equal(rep.indices, want.indices), scheme
-        assert_matches(rep.per_client, want, scheme, batch.radius)
     scalar = ScalarBatch(vecs[:, 0], vecs[:, 0].min(), vecs[:, 0].max())
-    out = sq.k_level_cq(scalar, build_context(9, n=7, d=1, k=5))
-    want = oracle_round(scalar, "correlated-klevel", 5, 9)
-    assert np.array_equal(out.per_client, want.per_client)
+    key = 9
+    for b, scheme, k, rep in (
+        (scalar, "correlated-1bit", 2, sq.one_bit_cq(scalar, key)),
+        (scalar, "correlated-klevel", 5, sq.k_level_cq(scalar, 5, key)),
+        (scalar, "independent", 5, sq.independent_sq(scalar, 5, key)),
+        (batch, "correlated-1bit", 2, vq.correlated_vector_cq(batch, 2, key)),
+        (batch, "correlated-klevel", 4, vq.correlated_vector_cq(batch, 4, key)),
+        (batch, "entropy-cq", 4, vq.entropy_cq(batch, 4, key)),
+        (batch, "hadamard-cq", 4, vq.walsh_hadamard_cq(batch, 4, key)),
+        (batch, "independent", 4, vq.independent_vector_sq(batch, 4, key=key)),
+        (batch, "independent-rotation", 4,
+         vq.independent_vector_sq(batch, 4, rotate=True, key=key)),
+        (batch, "terngrad", 3, vq.ternary_quantize(batch, key)),
+        (batch, "rotate-sign", 2, vq.rotate_sign_baseline(batch, key)),
+    ):
+        want = oracle_round(b, scheme, k, key)
+        assert np.array_equal(rep.indices, want.indices), scheme
+        assert np.array_equal(rep.bits, want.bits), scheme
+        assert_matches(rep.per_client, want, scheme, batch.radius)

@@ -132,7 +132,7 @@ def test_client_uniforms_cover_disjoint_cells():
     ctx = build_context(77, n=50, d=1, k=2)
     u = ctx.client_uniforms(0)
     assert np.array_equal(np.sort(np.floor(u * 50).astype(int)), np.arange(50))
-    assert ctx.client_uniform(3, 0) == u[3]
+    assert np.array_equal(u, (ctx.permutations[0] + ctx.offset_units[0]) / 50)
 
 
 def test_batched_context_arrays_match_single_contexts():

@@ -51,10 +51,13 @@ class TestScalarBatch:
         assert abs(b.mean() - float(np.mean(values))) < 1e-12
 
     def test_normalized(self):
+        # the ops normalize by (v - lower) / width: the bounds map to 0 and
+        # 1, which the one-bit rule sends deterministically
         b = ScalarBatch(np.array([-2.0, 0.0, 6.0]), -2.0, 6.0)
-        assert np.allclose(b.normalized(), [0.0, 0.25, 1.0])
         assert b.width == 8.0
         assert b.n == 3
+        for key in range(20):
+            assert one_bit_cq(b, key).indices[[0, 2], 0].tolist() == [0, 1]
 
 
 class TestKernels:
@@ -101,12 +104,12 @@ class TestOneBit:
             for s in range(n + 1):
                 b = batch01(np.full(n, s / n))
                 for seed in range(20):
-                    out = one_bit_cq(b, build_context(seed, n=n))
+                    out = one_bit_cq(b, seed)
                     assert out.estimate.tolist() == [s / n]
 
     def test_outputs_are_bits(self):
         b = batch01([0.2, 0.8, 0.5])
-        out = one_bit_cq(b, build_context(3, n=3))
+        out = one_bit_cq(b, 3)
         assert out.indices.shape == out.per_client.shape == (3, 1)
         assert set(np.unique(out.indices)) <= {0, 1}
         assert np.array_equal(out.per_client, out.indices.astype(float))
@@ -116,30 +119,29 @@ class TestOneBit:
         seeds = trial_seeds(17, 40_000)
         acc = 0.0
         for t in range(len(seeds)):
-            acc += one_bit_cq(b, build_context(int(seeds[t]), n=4)).estimate[0]
+            acc += one_bit_cq(b, int(seeds[t])).estimate[0]
         # estimate variance is at most 1/(4n) per trial
         se = np.sqrt(0.25 / 4 / len(seeds))
         assert abs(acc / len(seeds) - b.mean()) < 4 * se
 
     def test_respects_bounds_scaling(self):
         b = ScalarBatch(np.array([-3.0, 5.0]), -3.0, 5.0)
-        out = one_bit_cq(b, build_context(0, n=2))
+        out = one_bit_cq(b, 0)
         assert set(np.unique(out.per_client)) <= {-3.0, 5.0}
 
 
 class TestKLevel:
     def test_k2_delegates_to_one_bit(self):
         b = batch01([0.3, 0.6, 0.9])
-        ctx = build_context(8, n=3, k=2)
-        a = k_level_cq(b, ctx)
-        o = one_bit_cq(b, ctx)
+        a = k_level_cq(b, 2, 8)
+        o = one_bit_cq(b, 8)
         assert np.array_equal(a.estimate, o.estimate)
         assert np.array_equal(a.indices, o.indices)
 
     def test_indices_within_grid(self):
         b = batch01(np.linspace(0, 1, 9))
         for k in (3, 4, 8, 33):
-            out = k_level_cq(b, build_context(2, n=9, k=k))
+            out = k_level_cq(b, k, 2)
             assert out.indices.shape == (9, 1)
             assert out.indices.min() >= 0
             assert out.indices.max() <= k - 1
@@ -148,7 +150,7 @@ class TestKLevel:
         rng = np.random.default_rng(4)
         b = batch01(rng.random(50))
         for k in (3, 5, 16):
-            out = k_level_cq(b, build_context(9, n=50, k=k))
+            out = k_level_cq(b, k, 9)
             err = np.abs(out.per_client[:, 0] - b.values)
             assert err.max() <= level_spacing(k) + 1e-12
 
@@ -157,16 +159,18 @@ class TestKLevel:
         seeds = trial_seeds(23, 40_000)
         acc = 0.0
         for t in range(len(seeds)):
-            ctx = build_context(int(seeds[t]), n=5, k=4)
-            acc += k_level_cq(b, ctx).estimate[0]
+            acc += k_level_cq(b, 4, int(seeds[t])).estimate[0]
         se = np.sqrt(level_spacing(4) ** 2 / 4 / 5 / len(seeds))
         assert abs(acc / len(seeds) - b.mean()) < 4 * se
 
     def test_dimension_mismatch_rejected(self):
-        b = batch01([0.1, 0.9])
-        ctx = build_context(0, n=3, k=4)
+        # the round's shapes come from the batch and k alone; one value per
+        # client, and a level count the wire header holds
         with pytest.raises(ValueError):
-            k_level_cq(b, ctx)
+            k_level_cq(ScalarBatch(np.full((2, 2), 0.5), 0.0, 1.0), 4, 0)
+        for k in (1, 2**16):
+            with pytest.raises(ValueError):
+                k_level_cq(batch01([0.1, 0.9]), k, 0)
 
 
 class TestIndependent:
@@ -215,8 +219,7 @@ def test_concentration_stats():
 )
 def test_klevel_per_client_stays_in_randomized_span(values, seed, k):
     b = batch01(values)
-    ctx = build_context(seed, n=b.n, k=k)
-    out = k_level_cq(b, ctx)
+    out = k_level_cq(b, k, seed)
     bound = level_spacing(k) if k > 2 else 1.0
     assert np.all(np.abs(out.per_client[:, 0] - b.values) <= bound + 1e-12)
     assert out.indices.min() >= 0 and out.indices.max() <= k - 1

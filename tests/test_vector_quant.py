@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from corrq import bitcodec as bc
 from corrq import harness as hz
 from corrq import vector_quant as vq
-from corrq.randomness import RandomnessContext, build_context, trial_seeds
+from corrq.randomness import build_context, trial_seeds
 
 
 def make_batch(n=6, d=5, seed=7, headroom=1.3):
@@ -24,36 +24,17 @@ def make_batch(n=6, d=5, seed=7, headroom=1.3):
 
 
 VECTOR_OPS = {
-    # name: (op on a batch and a seed, k): the op reads build_context(seed)
-    # or the round key seed, as run_round(batch, name, k, seed) does
-    "correlated-1bit": (
-        lambda b, s: vq.correlated_vector_cq(b, build_context(s, b.n, b.d, 2), k=2),
-        2,
-    ),
-    "correlated-klevel": (
-        lambda b, s: vq.correlated_vector_cq(b, build_context(s, b.n, b.d, 5), k=5),
-        5,
-    ),
-    "entropy-cq": (
-        lambda b, s: vq.entropy_cq(b, build_context(s, b.n, b.d, 8), k=8), 8,
-    ),
-    "hadamard-cq": (
-        lambda b, s: vq.walsh_hadamard_cq(
-            b, build_context(s, b.n, vq.next_pow2(b.d), 4), k=4
-        ),
-        4,
-    ),
+    # name: (op on a batch and a round key, k), as run_round(batch, name, k, key)
+    "correlated-1bit": (lambda b, s: vq.correlated_vector_cq(b, 2, s), 2),
+    "correlated-klevel": (lambda b, s: vq.correlated_vector_cq(b, 5, s), 5),
+    "entropy-cq": (lambda b, s: vq.entropy_cq(b, 8, s), 8),
+    "hadamard-cq": (lambda b, s: vq.walsh_hadamard_cq(b, 4, s), 4),
     "independent": (lambda b, s: vq.independent_vector_sq(b, 6, key=s), 6),
     "independent-rotation": (
         lambda b, s: vq.independent_vector_sq(b, 3, rotate=True, key=s), 3,
     ),
     "terngrad": (lambda b, s: vq.ternary_quantize(b, key=s), 3),
-    "rotate-sign": (
-        lambda b, s: vq.rotate_sign_baseline(
-            b, build_context(s, b.n, vq.next_pow2(b.d), 2)
-        ),
-        2,
-    ),
+    "rotate-sign": (lambda b, s: vq.rotate_sign_baseline(b, s), 2),
 }
 
 
@@ -236,72 +217,67 @@ class TestRotation:
 
 class TestCorrelatedVector:
     def test_requires_matching_k(self):
+        # the op's k alone sets the grid: one the wire header cannot carry
+        # is rejected, and a k = 4 round sends 2-bit indices below 4
         b = make_batch()
-        ctx = build_context(0, n=b.n, d=b.d, k=2)
-        with pytest.raises(ValueError):
-            vq.correlated_vector_cq(b, ctx, k=4)
+        for k in (1, 2**16):
+            with pytest.raises(ValueError):
+                vq.correlated_vector_cq(b, k, 0)
+        rep = vq.correlated_vector_cq(b, 4, 0)
+        assert rep.indices.max() <= 3
+        assert np.all(rep.bits == bc.HEADER_BITS + b.d * 2)
 
     def test_unbiased(self):
         b = make_batch(n=6, d=5, seed=7)
         seeds = trial_seeds(123, 4000)
         acc = np.zeros(b.d)
         for t in range(len(seeds)):
-            ctx = build_context(int(seeds[t]), n=b.n, d=b.d, k=4)
-            acc += vq.correlated_vector_cq(b, ctx, k=4).estimate
+            acc += vq.correlated_vector_cq(b, 4, int(seeds[t])).estimate
         assert np.abs(acc / len(seeds) - b.mean()).max() < 4e-2 * b.radius
 
     def test_estimate_equals_per_client_mean(self):
         b = make_batch()
-        ctx = build_context(9, n=b.n, d=b.d, k=3)
-        rep = vq.correlated_vector_cq(b, ctx, k=3)
+        rep = vq.correlated_vector_cq(b, 3, 9)
         assert np.allclose(rep.estimate, rep.per_client.mean(axis=0))
 
     def test_fixed_payload_round_trip_and_bits(self):
         b = make_batch()
         k = 4
-        ctx = build_context(5, n=b.n, d=b.d, k=k)
-        rep = vq.correlated_vector_cq(b, ctx, k=k)
+        rep = vq.correlated_vector_cq(b, k, 5)
         for i, payload in enumerate(payloads("correlated-klevel", rep, k)):
             assert np.array_equal(bc.unpack_fixed(payload, k), rep.indices[i])
         assert np.all(rep.bits == bc.HEADER_BITS + b.d * bc.fixed_width(k))
 
     def test_coordinate_isolation(self):
         # swapping in foreign shared randomness for coordinate 2 must not
-        # change any other coordinate's levels
+        # change any other coordinate's levels (the (d, n) encode kernel)
         b = make_batch(n=5, d=4, seed=3)
+        y = ((b.vectors + b.radius) / (2 * b.radius)).T
         ctx = build_context(10, n=5, d=4, k=4)
         other = build_context(11, n=5, d=4, k=4)
-        perms = ctx.permutations.copy()
-        units = ctx.offset_units.copy()
-        grid = ctx.grid_offsets.copy()
-        perms[2] = other.permutations[2]
-        units[2] = other.offset_units[2]
-        grid[2] = other.grid_offsets[2]
-        tampered = RandomnessContext(
-            seed=ctx.seed, n=5, d=4, k=4, permutations=perms,
-            offset_units=units, grid_offsets=grid,
-            rotation_signs=ctx.rotation_signs.copy(),
-        )
-        a = vq.correlated_vector_cq(b, ctx, k=4)
-        t = vq.correlated_vector_cq(b, tampered, k=4)
+        names = ("permutations", "offset_units", "grid_offsets")
+        arrays = [getattr(ctx, name) for name in names]
+        tampered = [a.copy() for a in arrays]
+        for t, name in zip(tampered, names):
+            t[2] = getattr(other, name)[2]
+        a = vq.cq_encode(y, *arrays, 4)
+        t = vq.cq_encode(y, *tampered, 4)
         keep = [0, 1, 3]
-        assert np.array_equal(a.indices[:, keep], t.indices[:, keep])
-        assert not np.array_equal(a.indices[:, 2], t.indices[:, 2])
-
+        assert np.array_equal(a[keep], t[keep])
+        assert not np.array_equal(a[2], t[2])
+        assert np.array_equal(a.T, vq.correlated_vector_cq(b, 4, 10).indices)
 
 class TestEntropyVariant:
     def test_same_estimates_as_fixed_width(self):
         b = make_batch(seed=21)
-        ctx = build_context(42, n=b.n, d=b.d, k=8)
-        fixed = vq.correlated_vector_cq(b, ctx, k=8)
-        gamma = vq.entropy_cq(b, ctx, k=8)
+        fixed = vq.correlated_vector_cq(b, 8, 42)
+        gamma = vq.entropy_cq(b, 8, 42)
         assert np.array_equal(fixed.estimate, gamma.estimate)
         assert np.array_equal(fixed.indices, gamma.indices)
 
     def test_gamma_payload_round_trip(self):
         b = make_batch(seed=21)
-        ctx = build_context(42, n=b.n, d=b.d, k=8)
-        rep = vq.entropy_cq(b, ctx, k=8)
+        rep = vq.entropy_cq(b, 8, 42)
         built = payloads("entropy-cq", rep, 8)
         for i, payload in enumerate(built):
             values = np.array(bc.elias_gamma_decode(payload))
@@ -316,8 +292,7 @@ class TestEntropyVariant:
         d, k = 256, 16
         x = np.random.default_rng(0).normal(size=(8, d)) * 1e-3
         b = vq.VectorBatch(x, radius=1.0)
-        ctx = build_context(1, n=8, d=d, k=k)
-        rep = vq.entropy_cq(b, ctx, k=k)
+        rep = vq.entropy_cq(b, k, 1)
         fixed_bits = bc.HEADER_BITS + d * bc.fixed_width(k)
         assert rep.bits.max() < fixed_bits
 
@@ -327,8 +302,7 @@ class TestEntropyVariant:
         n, d, k = 10, 64, 8
         x = rng.normal(size=(n, d))
         b = vq.VectorBatch.from_vectors(x)
-        ctx = build_context(8, n=n, d=d, k=k)
-        rep = vq.entropy_cq(b, ctx, k=k)
+        rep = vq.entropy_cq(b, k, 8)
         ideal = d * (1 + math.log2((k - 1) ** 2 / (2 * d) + 1)) + k * math.log2(
             (k + d) * math.e / k
         )
@@ -340,31 +314,34 @@ class TestHadamardCq:
         # at m = n = 8 the scaled rotated coordinates cannot reach 1
         b = make_batch(n=8, d=8, seed=5, headroom=1.0)
         for seed in range(50):
-            ctx = build_context(seed, n=8, d=8, k=4)
-            rep = vq.walsh_hadamard_cq(b, ctx, k=4)
+            rep = vq.walsh_hadamard_cq(b, 4, seed)
             assert rep.clips == 0
 
     def test_bias_small_without_clipping(self):
         b = make_batch(n=8, d=12, seed=6)
-        m = vq.next_pow2(12)
         seeds = trial_seeds(99, 4000)
         acc = np.zeros(12)
         for t in range(len(seeds)):
-            ctx = build_context(int(seeds[t]), n=8, d=m, k=8)
-            acc += vq.walsh_hadamard_cq(b, ctx, k=8).estimate
+            acc += vq.walsh_hadamard_cq(b, 8, int(seeds[t])).estimate
         assert np.abs(acc / len(seeds) - b.mean()).max() < 2e-2 * b.radius
 
     def test_bits_are_padded_dimension_times_width(self):
         b = make_batch(n=4, d=12, seed=2)
         m = vq.next_pow2(12)
-        ctx = build_context(0, n=4, d=m, k=8)
-        rep = vq.walsh_hadamard_cq(b, ctx, k=8)
+        rep = vq.walsh_hadamard_cq(b, 8, 0)
         assert np.all(rep.bits == bc.HEADER_BITS + m * 3)
 
     def test_requires_padded_context(self):
+        # the round reads the context of the padded dimension m = 16: its
+        # signs un-rotate the decoded indices to the op's clients
         b = make_batch(n=4, d=12, seed=2)
-        with pytest.raises(ValueError):
-            vq.walsh_hadamard_cq(b, build_context(0, n=4, d=12, k=8), k=8)
+        ctx = build_context(0, n=4, d=16, k=8)
+        rep = vq.walsh_hadamard_cq(b, 8, 0)
+        assert rep.indices.shape == (4, 16)
+        y = vq.cq_decode(rep.indices.T, ctx.grid_offsets, 8).T
+        z = (2.0 * y - 1.0) / vq.rotation_scale(b.radius, 16, 4)
+        got = vq.unrotate(z, ctx.rotation_signs, 12)
+        assert np.allclose(got, rep.per_client, atol=1e-12 * b.radius)
 
     def test_clip_fraction_negligible_at_scale(self):
         rng = np.random.default_rng(3)
@@ -372,8 +349,7 @@ class TestHadamardCq:
         b = vq.VectorBatch.from_vectors(x)
         clip_events = 0
         for seed in range(5):
-            ctx = build_context(seed, n=100, d=1024, k=4)
-            clip_events += vq.walsh_hadamard_cq(b, ctx, k=4).clips
+            clip_events += vq.walsh_hadamard_cq(b, 4, seed).clips
         assert clip_events / (5 * 100 * 1024) <= 1e-12
 
 
@@ -420,15 +396,13 @@ class TestIndependentBaselines:
 class TestRotateSign:
     def test_deterministic_given_context(self):
         b = make_batch(n=6, d=5, seed=11)
-        ctx = build_context(21, n=6, d=vq.next_pow2(5), k=2)
-        a = vq.rotate_sign_baseline(b, ctx)
-        c = vq.rotate_sign_baseline(b, ctx)
+        a = vq.rotate_sign_baseline(b, 21)
+        c = vq.rotate_sign_baseline(b, 21)
         assert np.array_equal(a.estimate, c.estimate)
 
     def test_scale_tail_round_trip(self):
         b = make_batch(n=6, d=5, seed=11)
-        ctx = build_context(21, n=6, d=vq.next_pow2(5), k=2)
-        rep = vq.rotate_sign_baseline(b, ctx)
+        rep = vq.rotate_sign_baseline(b, 21)
         head, scale = vq.split_scale_tail(payloads("rotate-sign", rep, 2)[2])
         assert scale == rep.scales[2]
         assert np.array_equal(bc.unpack_fixed(head, 2), rep.indices[2])
@@ -436,22 +410,21 @@ class TestRotateSign:
     def test_per_client_error_bounded_by_norm(self):
         # sign-magnitude reconstruction never overshoots the vector scale
         b = make_batch(n=6, d=5, seed=11)
-        ctx = build_context(21, n=6, d=vq.next_pow2(5), k=2)
-        rep = vq.rotate_sign_baseline(b, ctx)
+        rep = vq.rotate_sign_baseline(b, 21)
         err = np.linalg.norm(rep.per_client - b.vectors, axis=1)
         norms = np.linalg.norm(b.vectors, axis=1)
         assert np.all(err <= norms + 1e-9)
 
 
 def test_scale_tail_format():
-    stream = bc.BitStream.from_bitstring("101")
+    stream = bc.BitStream.from_bits([1, 0, 1])
     tailed = vq.append_scale_tail(stream, 0.5)
     assert tailed.length == 3 + 64
     head, scale = vq.split_scale_tail(tailed)
     assert head == stream
     assert scale == 0.5
     # IEEE big-endian float64 bits follow the head verbatim
-    assert tailed.to_bitstring()[3:] == format(
+    assert "".join(map(str, tailed.bits()[3:])) == format(
         int.from_bytes(struct.pack(">d", 0.5), "big"), "064b"
     )
 
@@ -478,8 +451,7 @@ def test_correlated_vector_round_invariants(seed, n, d, k):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     b = vq.VectorBatch.from_vectors(x)
-    ctx = build_context(seed, n=n, d=d, k=k)
-    rep = vq.correlated_vector_cq(b, ctx, k=k)
+    rep = vq.correlated_vector_cq(b, k, seed)
     assert rep.indices.shape == (n, d)
     assert rep.indices.min() >= 0 and rep.indices.max() <= k - 1
     assert np.allclose(rep.estimate, rep.per_client.mean(axis=0))
@@ -498,7 +470,7 @@ def test_scale_tail_is_the_head_then_the_float_bits(bits, scale):
     stream = bc.BitStream.from_bits(bits)
     tailed = vq.append_scale_tail(stream, scale)
     float_bits = format(int.from_bytes(struct.pack(">d", scale), "big"), "064b")
-    assert tailed.to_bitstring() == stream.to_bitstring() + float_bits
+    assert "".join(map(str, tailed.bits())) == "".join(map(str, bits)) + float_bits
     head, back = vq.split_scale_tail(tailed)
     assert head == stream
     assert struct.pack(">d", back) == struct.pack(">d", scale)
