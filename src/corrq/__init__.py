@@ -6,9 +6,10 @@ deterministic streams every client derives from one shared seed.
 the one-bit correlated scheme up to the rotated pipelines and the
 independent baselines. `bitcodec` defines the exact wire format.
 `harness` runs every scheme on one engine: `run_round` is one quantized
-round, which every single-round op (`one_bit_cq`, ..., `ternary_quantize`)
-calls and returns as a `harness.Round`, and `run_dme` measures estimation
-error over many trials against the guaranteed ceilings and floors.
+round, a `harness.Round` whose estimate is `run_dme`'s for a trial of the
+same key (each vector op is one call of it), and `run_dme` measures
+estimation error over many trials against the guaranteed ceilings and
+floors.
 `tasks` runs distributed computations (k-means, power iteration, SGD,
 federated averaging) on top of the same primitive, and `cli` ties it
 together as the `corrq` command.
@@ -36,11 +37,11 @@ from .harness import (
     one_bit_floor,
     reports_to_csv,
     run_dme,
+    run_round,
     sweep,
     vector_envelope,
 )
 from .randomness import (
-    RandomnessContext,
     build_context,
     build_context_arrays,
     derive_key,
@@ -49,9 +50,6 @@ from .randomness import (
 from .scalar_quant import (
     ScalarBatch,
     concentration_stats,
-    independent_sq,
-    k_level_cq,
-    one_bit_cq,
 )
 from .tasks import (
     OptimizerConfig,
@@ -83,7 +81,6 @@ __all__ = [
     "CodecError",
     "MalformedStreamError",
     "OptimizerConfig",
-    "RandomnessContext",
     "SCHEMES",
     "ScalarBatch",
     "SgdProblem",
@@ -108,20 +105,18 @@ __all__ = [
     "fwht",
     "generate",
     "hadamard_bias_bound",
-    "independent_sq",
     "independent_vector_sq",
-    "k_level_cq",
     "k_level_envelope",
     "k_level_floor",
     "message_decode",
     "message_encode",
-    "one_bit_cq",
     "one_bit_envelope",
     "one_bit_floor",
     "quantized_round",
     "reports_to_csv",
     "rotate_sign_baseline",
     "run_dme",
+    "run_round",
     "sweep",
     "ternary_quantize",
     "trial_seeds",

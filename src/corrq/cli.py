@@ -9,13 +9,15 @@ from a `--config` JSON object (keyed by option dest names such as
 flags.
 
 Exit codes: 0 success, 1 a checked bound failed, 2 bad input or a
-dataset problem, 3 optimization divergence.
+dataset problem, 3 optimization divergence. Run it as `corrq`,
+`python -m corrq` or `python -m corrq.cli`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -206,6 +208,16 @@ def _apply_config(
     return argv[:1] + flags + argv[1:]
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before the run."""
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise ValueError(f"--out {path}: no directory {target.parent}")
+    where = target if target.exists() else target.parent
+    if target.is_dir() or not os.access(where, os.W_OK):
+        raise ValueError(f"--out {path}: not a writable file")
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         try:
@@ -388,6 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     parser, table = build_parser()
     args = parser.parse_args(_apply_config(parser, table, argv))
     try:
+        if args.out:
+            _check_out(args.out)
         return _RUNNERS[args.command](args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -399,3 +413,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

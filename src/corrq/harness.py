@@ -624,27 +624,25 @@ class Round(NamedTuple):
     bits: np.ndarray                # wire header plus payload bits (n,)
     scales: np.ndarray | None       # the scale tail's values (n,)
     clips: int
-
-    @property
-    def estimate(self) -> np.ndarray:
-        """The server's mean of the decoded clients, (d,)."""
-        return self.per_client.mean(axis=0)
+    estimate: np.ndarray            # the server's mean (d,), as run_dme's
 
 
 def run_round(
     batch: ScalarBatch | VectorBatch, scheme: str, k: int, key: int
 ) -> Round:
-    """The engine at one trial keyed `key` (reduced mod 2**64): the shared
-    randomness is build_context(key, n, padded d, k) and private rounding
-    comes from the same key. Each client's bits are its message's price,
-    Scheme.message_bits, as run_dme prices them."""
+    """One quantized round, the engine at one trial keyed `key` (reduced
+    mod 2**64): the shared randomness is build_context(key, n, padded d,
+    k) and private rounding comes from the same key. The estimate is the
+    server mean of run_dme at one trial of that key, bit for bit, and each
+    client's bits are its message's price, Scheme.message_bits."""
     prep = _prepare(batch, scheme, k)
     values, idx, scales, clips, signs = _evaluate_chunk(
         prep, np.array([int(key) & MASK64], dtype=np.uint64)
     )
     bits = np.array(prep.scheme.message_bits(idx, prep.k)[0])
     scales = None if scales is None else scales[0]
-    return Round(prep.per_client(values, signs), idx[0].T, bits, scales, clips)
+    return Round(prep.per_client(values, signs), idx[0].T, bits, scales, clips,
+                 prep.estimates(values, signs)[0])
 
 
 # Trial elements (trials x clients x coordinates) one engine call holds,

@@ -66,7 +66,6 @@ independently or in vectorized blocks.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -224,8 +223,9 @@ def _argsort_in_place(values: np.ndarray) -> np.ndarray:
 class ContextArrays(NamedTuple):
     """Raw context arrays with an arbitrary leading batch shape.
 
-    Layouts are kernel-friendly: permutations and offset units are
-    (..., d, n); grid offsets and rotation signs are (..., d). A stream
+    Layouts are kernel-friendly: permutations and offset units (sub-cell
+    offsets in units of 1/n, in [0, 1)) are (..., d, n); grid offsets (in
+    [-1/k, 0)) and rotation signs are (..., d). A stream
     build_context_arrays was told not to build is None.
     """
 
@@ -284,70 +284,22 @@ def private_uniforms(seeds: np.ndarray, d: int, n: int) -> np.ndarray:
     return stream_uniform(coord_keys[..., None], np.arange(n, dtype=np.uint64))
 
 
-@dataclass
-class RandomnessContext:
-    """Shared randomness for one quantization round over d coordinates.
-
-    Fields
-    ------
-    permutations : (d, n) int64
-        permutations[j] is a uniformly random permutation of {0..n-1}.
-    offset_units : (d, n) float64 in [0, 1)
-        Client i's sub-cell offset for coordinate j in units of 1/n.
-        The offset itself (gamma) is offset_units / n in [0, 1/n).
-    grid_offsets : (d,) float64 in [-1/k, 0)
-        First-level position of the randomized grid per coordinate.
-    rotation_signs : (d,) int64 in {-1, +1}
-        Rademacher diagonal for the randomized Hadamard rotation.
-
-    The layouts are those of ContextArrays without the batch axes.
-    Instances are value objects: arrays are read-only and equality
-    compares parameters and array contents.
-    """
-
-    seed: int
-    n: int
-    d: int
-    k: int
-    permutations: np.ndarray
-    offset_units: np.ndarray
-    grid_offsets: np.ndarray
-    rotation_signs: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RandomnessContext):
-            return NotImplemented
-        return (self.seed, self.n, self.d, self.k) == (
-            other.seed, other.n, other.d, other.k
-        ) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ContextArrays._fields
-        )
-
-    def client_uniforms(self, j: int = 0) -> np.ndarray:
-        """All n client uniforms for coordinate j."""
-        return (self.permutations[j] + self.offset_units[j]) / self.n
-
-
-def build_context(seed: int, n: int, d: int = 1, k: int = 2) -> RandomnessContext:
-    """Materialize the shared randomness for one round.
-
-    Parameters are validated; the seed is reduced mod 2**64. The context is
-    a pure function of (seed, n, d, k): the streams that
-    harness.run_round(batch, scheme, k, seed) reads for n clients over d
-    (padded, for the rotated schemes) coordinates.
-    """
+def build_context(seed: int, n: int, d: int = 1, k: int = 2) -> ContextArrays:
+    """The read-only ContextArrays harness.run_round(batch, scheme, k, seed)
+    reads for n clients over d (padded, for the rotated schemes)
+    coordinates. Parameters are validated; the seed is reduced mod 2**64.
+    Client i's uniform for coordinate j is (permutations[j, i] +
+    offset_units[j, i]) / n."""
     if n < 1:
         raise ValueError(f"need at least one client, got n={n}")
     if d < 1:
         raise ValueError(f"need at least one coordinate, got d={d}")
     if k < 2:
         raise ValueError(f"need at least two levels, got k={k}")
-    seed = int(seed) & MASK64
-    arrays = build_context_arrays(np.uint64(seed), n, d, k)
+    arrays = build_context_arrays(np.uint64(int(seed) & MASK64), n, d, k)
     for arr in arrays:
         arr.flags.writeable = False
-    return RandomnessContext(seed, n, d, k, *arrays)
+    return arrays
 
 
 def trial_seeds(seed: int, trials: int) -> np.ndarray:

@@ -9,22 +9,18 @@ independent stochastic quantizer is the classical baseline.
 
 All quantizer cores are shape-generic: inputs may carry arbitrary leading
 batch axes (the Monte Carlo harness prepends a trial axis), with clients on
-the last axis. Each single-round op at the end takes the round key, is
-one call of the harness engine, harness.run_round(batch, scheme, k, key),
-and returns its Round: per_client and indices in the (n, 1) layout, the
-wire bits of each client, and the estimate as a (1,) array.
+the last axis. The schemes built on them (correlated-1bit,
+correlated-klevel, independent) are records of harness.SCHEME_TABLE, and
+one round of a scalar batch is harness.run_round(batch, scheme, k, key):
+per_client and indices in the (n, 1) layout, the estimate a (1,) array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .harness import Round
 
 
 @dataclass(frozen=True)
@@ -148,54 +144,3 @@ def uniform_grid_cells(y: np.ndarray, k: int):
     cell = np.clip(np.floor(y), 0, k - 2).astype(np.int64)
     frac = y - cell
     return cell, frac
-
-
-# ---------------------------------------------------------------------------
-# Reference single-round ops.
-# ---------------------------------------------------------------------------
-
-
-def _round(batch, scheme: str, k: int, key: int) -> Round:
-    from .harness import run_round  # harness imports this module
-
-    return run_round(batch, scheme, k, key)
-
-
-def one_bit_cq(batch: ScalarBatch, key: int) -> Round:
-    """Correlated one-bit quantizer.
-
-    Client i sends 1{U_i < y_i} for the shared correlated uniform U_i and
-    its normalized value y_i; the decoded value is l + (r-l) * bit. The
-    shared permutation turns the n indicator draws into sampling without
-    replacement, so the aggregate error tracks the batch's mean absolute
-    deviation.
-    """
-    return _round(batch, "correlated-1bit", 2, key)
-
-
-def k_level_cq(batch: ScalarBatch, k: int, key: int) -> Round:
-    """Correlated k-level quantizer on the randomized grid.
-
-    Client i locates the largest level c strictly below its normalized
-    value, computes the cell fraction f, and sends the index of
-    c + spacing * 1{U_i < f}. Unbiased for every k; the
-    deviation-dependent error guarantee kicks in at k >= 3.
-
-    k = 2 is the one-bit quantizer: the randomized two-level grid spans
-    1.5x the range and is strictly dominated by the plain one-bit rule,
-    which uses the same single bit.
-    """
-    return _round(batch, "correlated-klevel", k, key)
-
-
-def independent_sq(batch: ScalarBatch, k: int, key: int) -> Round:
-    """Independent stochastic quantizer on the uniform k-level grid.
-
-    Each client rounds to one of the two enclosing grid points with
-    probability proportional to proximity, using private randomness: the
-    counter stream of the round key, as in
-    harness.run_round(batch, "independent", k, key). Unbiased; aggregate
-    MSE is bounded by (r-l)^2 / (4 n (k-1)^2) regardless of how
-    concentrated the batch is.
-    """
-    return _round(batch, "independent", k, key)

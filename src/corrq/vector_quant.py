@@ -19,8 +19,8 @@ scalar_quant; the coordinate axis comes before the client axis in kernel
 layouts (d, n). The rotation W = H D / sqrt(m) is rotate and unrotate,
 with D the context's rotation signs over the padded dimension m. Each
 single-round op at the end takes the round key and is one call of the
-harness engine, harness.run_round(batch, scheme, k, key) (the code
-run_dme and the tasks run), and returns its Round.
+single-round entry point, harness.run_round(batch, scheme, k, key) (the
+engine run_dme and the tasks run), and returns its Round.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import bitcodec as bc
-from .scalar_quant import _round, correlated_bits, level_cells, level_spacing
+from .scalar_quant import correlated_bits, level_cells, level_spacing
 
 if TYPE_CHECKING:
     from .harness import Round
@@ -269,8 +269,14 @@ def split_scale_tail(stream: bc.BitStream) -> tuple[bc.BitStream, float]:
 
 
 # ---------------------------------------------------------------------------
-# Reference single-round ops: one call of harness.run_round each
+# Reference single-round ops, kept by name for perfbench/tracer.py
 # ---------------------------------------------------------------------------
+
+
+def _round(batch: VectorBatch, scheme: str, k: int, key: int) -> Round:
+    from .harness import run_round  # harness imports this module
+
+    return run_round(batch, scheme, k, key)
 
 
 def correlated_vector_cq(batch: VectorBatch, k: int, key: int) -> Round:
@@ -308,7 +314,7 @@ def walsh_hadamard_cq(batch: VectorBatch, k: int, key: int) -> Round:
 
 
 def independent_vector_sq(
-    batch: VectorBatch, k: int, rotate: bool = False, key: int = 0
+    batch: VectorBatch, k: int, rotate: bool = False, *, key: int
 ) -> Round:
     """Independent stochastic quantization, optionally inside the rotation.
 

@@ -1,9 +1,15 @@
-"""End-to-end command line checks, run in process."""
+"""End-to-end command line checks, run in process; the module entry
+points run in a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import corrq
 from corrq import cli
 
 
@@ -43,6 +49,18 @@ class TestDme:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --out ") and err.count("\n") == 1
+
+    def test_unwritable_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_dme", no_run)
+        for path in (tmp_path / "missing" / "report.csv", tmp_path):
+            code, out, err = run(
+                capsys, "dme", "--n", "10", "--d", "4", "--out", str(path)
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: --out ") and err.count("\n") == 1
 
     def test_non_finite_sigma_is_usage_error(self, capsys):
         for value in ("nan", "inf"):
@@ -290,3 +308,22 @@ def test_entrypoint_raises_system_exit(monkeypatch, capsys):
         cli.entrypoint()
     assert err.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["corrq", "corrq.cli"])
+def test_python_m_runs_the_command_line(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(corrq.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", module, "dme", "--n", "4", "--d", "2"]
+    done = subprocess.run(
+        [*argv, "--trials", "2"], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.strip().split("\n")
+    assert header.startswith("scheme,n,d,k,sigma_md,trials,")
+    assert row.startswith("correlated-1bit,4,2,2,")
+    bad = subprocess.run(
+        [*argv, "--bogus"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert "unrecognized arguments: --bogus" in bad.stderr

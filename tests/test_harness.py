@@ -266,6 +266,24 @@ def test_both_entry_points_check_scheme_and_input_kind(scheme):
             call()
 
 
+@pytest.mark.parametrize("scheme", hz.SCHEMES)
+def test_round_estimate_is_the_run_dme_trial_bit_for_bit(scheme):
+    # run_round's estimate is the server mean of a one-trial run_dme with
+    # the same key (the rotated schemes un-rotate the mean once), so a task
+    # round is the engine at one trial
+    k = 2 if scheme == "correlated-1bit" else 5
+    rng = np.random.default_rng(9)
+    batches = [VectorBatch.from_vectors(rng.normal(size=(9, 13)))]
+    if hz.SCHEME_TABLE[scheme].scalar_ok:
+        batches.append(ScalarBatch(rng.uniform(-1.0, 2.0, size=9), -1.0, 2.0))
+    for batch in batches:
+        for seed in (0, 1, 2**64 - 3):
+            key = int(trial_seeds(seed, 1)[0])
+            err = hz.run_round(batch, scheme, k, key).estimate - batch.mean()
+            want = float((err * err).sum())
+            assert hz.run_dme(batch, scheme, 1, seed, k=k).mse == want, scheme
+
+
 class TestRunDme:
     def test_exactness_on_own_grid(self):
         for s in range(9):

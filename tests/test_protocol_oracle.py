@@ -28,7 +28,6 @@ import scipy.linalg
 
 from corrq import bitcodec as bc
 from corrq import harness as hz
-from corrq import scalar_quant as sq
 from corrq import vector_quant as vq
 from corrq.randomness import GOLDEN, build_context, fnv1a64, mix64_int
 from corrq.scalar_quant import ScalarBatch
@@ -206,27 +205,23 @@ def test_oracle_recovers_a_shared_grid_exactly():
 
 
 def test_reference_ops_read_their_context_as_the_oracle_does():
-    # every single-round op keyed 9 reads build_context(9, ...) and the
-    # private stream of key 9, as the oracle does
-    vecs = np.random.default_rng(6).normal(size=(7, 6))
-    batch = VectorBatch.from_vectors(vecs)
-    scalar = ScalarBatch(vecs[:, 0], vecs[:, 0].min(), vecs[:, 0].max())
+    # every vector op keyed 9 reads build_context(9, ...) and the private
+    # stream of key 9, as the oracle does (scalar rounds are run_round's,
+    # test_engine_round_matches_oracle_on_scalars)
+    batch = VectorBatch.from_vectors(np.random.default_rng(6).normal(size=(7, 6)))
     key = 9
-    for b, scheme, k, rep in (
-        (scalar, "correlated-1bit", 2, sq.one_bit_cq(scalar, key)),
-        (scalar, "correlated-klevel", 5, sq.k_level_cq(scalar, 5, key)),
-        (scalar, "independent", 5, sq.independent_sq(scalar, 5, key)),
-        (batch, "correlated-1bit", 2, vq.correlated_vector_cq(batch, 2, key)),
-        (batch, "correlated-klevel", 4, vq.correlated_vector_cq(batch, 4, key)),
-        (batch, "entropy-cq", 4, vq.entropy_cq(batch, 4, key)),
-        (batch, "hadamard-cq", 4, vq.walsh_hadamard_cq(batch, 4, key)),
-        (batch, "independent", 4, vq.independent_vector_sq(batch, 4, key=key)),
-        (batch, "independent-rotation", 4,
+    for scheme, k, rep in (
+        ("correlated-1bit", 2, vq.correlated_vector_cq(batch, 2, key)),
+        ("correlated-klevel", 4, vq.correlated_vector_cq(batch, 4, key)),
+        ("entropy-cq", 4, vq.entropy_cq(batch, 4, key)),
+        ("hadamard-cq", 4, vq.walsh_hadamard_cq(batch, 4, key)),
+        ("independent", 4, vq.independent_vector_sq(batch, 4, key=key)),
+        ("independent-rotation", 4,
          vq.independent_vector_sq(batch, 4, rotate=True, key=key)),
-        (batch, "terngrad", 3, vq.ternary_quantize(batch, key)),
-        (batch, "rotate-sign", 2, vq.rotate_sign_baseline(batch, key)),
+        ("terngrad", 3, vq.ternary_quantize(batch, key)),
+        ("rotate-sign", 2, vq.rotate_sign_baseline(batch, key)),
     ):
-        want = oracle_round(b, scheme, k, key)
+        want = oracle_round(batch, scheme, k, key)
         assert np.array_equal(rep.indices, want.indices), scheme
         assert np.array_equal(rep.bits, want.bits), scheme
         assert_matches(rep.per_client, want, scheme, batch.radius)

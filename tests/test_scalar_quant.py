@@ -1,7 +1,7 @@
-"""Scalar quantizer kernels and reference ops.
+"""Scalar quantizer kernels and the scalar schemes' rounds.
 
-The ops return the engine's Round: per_client and indices are (n, 1),
-the estimate a (1,) array.
+A round is harness.run_round on a ScalarBatch: per_client and indices
+are (n, 1), the estimate a (1,) array.
 """
 
 import numpy as np
@@ -9,22 +9,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrq.randomness import build_context, trial_seeds
+from corrq.harness import run_dme, run_round
+from corrq.randomness import build_context
 from corrq.scalar_quant import (
     ScalarBatch,
     concentration_stats,
     correlated_bits,
-    independent_sq,
-    k_level_cq,
     level_cells,
     level_spacing,
-    one_bit_cq,
     uniform_grid_cells,
 )
 
 
+ONE_BIT, K_LEVEL, INDEPENDENT = "correlated-1bit", "correlated-klevel", "independent"
+
+
 def batch01(values):
     return ScalarBatch(np.asarray(values, dtype=float), 0.0, 1.0)
+
+
+def assert_unbiased(b, scheme, k, seed, variance):
+    # the mean of 40,000 rounds keyed trial_seeds(seed, 40_000), within 4
+    # standard errors of the batch mean; a one-trial run_dme's estimate is
+    # run_round's at that key, bit for bit (tests/test_harness.py)
+    trials = 40_000
+    report = run_dme(b, scheme, trials, seed, k=k)
+    assert np.sqrt(report.bias_sq) < 4 * np.sqrt(variance / trials)
 
 
 class TestScalarBatch:
@@ -51,13 +61,14 @@ class TestScalarBatch:
         assert abs(b.mean() - float(np.mean(values))) < 1e-12
 
     def test_normalized(self):
-        # the ops normalize by (v - lower) / width: the bounds map to 0 and
+        # a round normalizes by (v - lower) / width: the bounds map to 0 and
         # 1, which the one-bit rule sends deterministically
         b = ScalarBatch(np.array([-2.0, 0.0, 6.0]), -2.0, 6.0)
         assert b.width == 8.0
         assert b.n == 3
         for key in range(20):
-            assert one_bit_cq(b, key).indices[[0, 2], 0].tolist() == [0, 1]
+            out = run_round(b, ONE_BIT, 2, key)
+            assert out.indices[[0, 2], 0].tolist() == [0, 1]
 
 
 class TestKernels:
@@ -104,44 +115,39 @@ class TestOneBit:
             for s in range(n + 1):
                 b = batch01(np.full(n, s / n))
                 for seed in range(20):
-                    out = one_bit_cq(b, seed)
+                    out = run_round(b, ONE_BIT, 2, seed)
                     assert out.estimate.tolist() == [s / n]
 
     def test_outputs_are_bits(self):
         b = batch01([0.2, 0.8, 0.5])
-        out = one_bit_cq(b, 3)
+        out = run_round(b, ONE_BIT, 2, 3)
         assert out.indices.shape == out.per_client.shape == (3, 1)
         assert set(np.unique(out.indices)) <= {0, 1}
         assert np.array_equal(out.per_client, out.indices.astype(float))
 
     def test_unbiased(self):
         b = ScalarBatch(np.array([0.1, 0.35, 0.8, 0.55]), 0.0, 1.0)
-        seeds = trial_seeds(17, 40_000)
-        acc = 0.0
-        for t in range(len(seeds)):
-            acc += one_bit_cq(b, int(seeds[t])).estimate[0]
         # estimate variance is at most 1/(4n) per trial
-        se = np.sqrt(0.25 / 4 / len(seeds))
-        assert abs(acc / len(seeds) - b.mean()) < 4 * se
+        assert_unbiased(b, ONE_BIT, 2, 17, 0.25 / 4)
 
     def test_respects_bounds_scaling(self):
         b = ScalarBatch(np.array([-3.0, 5.0]), -3.0, 5.0)
-        out = one_bit_cq(b, 0)
+        out = run_round(b, ONE_BIT, 2, 0)
         assert set(np.unique(out.per_client)) <= {-3.0, 5.0}
 
 
 class TestKLevel:
     def test_k2_delegates_to_one_bit(self):
         b = batch01([0.3, 0.6, 0.9])
-        a = k_level_cq(b, 2, 8)
-        o = one_bit_cq(b, 8)
+        a = run_round(b, K_LEVEL, 2, 8)
+        o = run_round(b, ONE_BIT, 2, 8)
         assert np.array_equal(a.estimate, o.estimate)
         assert np.array_equal(a.indices, o.indices)
 
     def test_indices_within_grid(self):
         b = batch01(np.linspace(0, 1, 9))
         for k in (3, 4, 8, 33):
-            out = k_level_cq(b, k, 2)
+            out = run_round(b, K_LEVEL, k, 2)
             assert out.indices.shape == (9, 1)
             assert out.indices.min() >= 0
             assert out.indices.max() <= k - 1
@@ -150,52 +156,44 @@ class TestKLevel:
         rng = np.random.default_rng(4)
         b = batch01(rng.random(50))
         for k in (3, 5, 16):
-            out = k_level_cq(b, k, 9)
+            out = run_round(b, K_LEVEL, k, 9)
             err = np.abs(out.per_client[:, 0] - b.values)
             assert err.max() <= level_spacing(k) + 1e-12
 
     def test_unbiased(self):
         b = ScalarBatch(np.array([0.05, 0.42, 0.77, 0.31, 0.66]), 0.0, 1.0)
-        seeds = trial_seeds(23, 40_000)
-        acc = 0.0
-        for t in range(len(seeds)):
-            acc += k_level_cq(b, 4, int(seeds[t])).estimate[0]
-        se = np.sqrt(level_spacing(4) ** 2 / 4 / 5 / len(seeds))
-        assert abs(acc / len(seeds) - b.mean()) < 4 * se
+        assert_unbiased(b, K_LEVEL, 4, 23, level_spacing(4) ** 2 / 4 / 5)
 
     def test_dimension_mismatch_rejected(self):
         # the round's shapes come from the batch and k alone; one value per
         # client, and a level count the wire header holds
         with pytest.raises(ValueError):
-            k_level_cq(ScalarBatch(np.full((2, 2), 0.5), 0.0, 1.0), 4, 0)
+            run_round(ScalarBatch(np.full((2, 2), 0.5), 0.0, 1.0), K_LEVEL, 4, 0)
         for k in (1, 2**16):
             with pytest.raises(ValueError):
-                k_level_cq(batch01([0.1, 0.9]), k, 0)
+                run_round(batch01([0.1, 0.9]), K_LEVEL, k, 0)
 
 
 class TestIndependent:
     def test_unbiased(self):
         b = ScalarBatch(np.array([0.15, 0.5, 0.85]), 0.0, 1.0)
-        trials = 40_000
-        keys = trial_seeds(77, trials)
-        acc = sum(independent_sq(b, 4, int(key)).estimate[0] for key in keys)
-        se = np.sqrt((1 / 3) ** 2 / 4 / 3 / trials)
-        assert abs(acc / trials - b.mean()) < 4 * se
+        assert_unbiased(b, INDEPENDENT, 4, 77, (1 / 3) ** 2 / 4 / 3)
 
     def test_grid_points_only(self):
         b = batch01([0.3, 0.7])
-        out = independent_sq(b, 5, key=0)
+        out = run_round(b, INDEPENDENT, 5, key=0)
         assert np.all(np.isin(out.per_client, np.linspace(0, 1, 5)))
 
     def test_key_is_reduced_mod_2_64(self):
         b = batch01(np.linspace(0.05, 0.95, 40))
-        want = independent_sq(b, 4, key=2**64 - 1).per_client
+        want = run_round(b, INDEPENDENT, 4, key=2**64 - 1).per_client
         for key in (-1, 2**128 - 1):
-            assert np.array_equal(independent_sq(b, 4, key=key).per_client, want)
+            got = run_round(b, INDEPENDENT, 4, key=key).per_client
+            assert np.array_equal(got, want)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            independent_sq(batch01([0.5]), 1, key=0)
+            run_round(batch01([0.5]), INDEPENDENT, 1, key=0)
 
 
 def test_concentration_stats():
@@ -219,7 +217,7 @@ def test_concentration_stats():
 )
 def test_klevel_per_client_stays_in_randomized_span(values, seed, k):
     b = batch01(values)
-    out = k_level_cq(b, k, seed)
+    out = run_round(b, K_LEVEL, k, seed)
     bound = level_spacing(k) if k > 2 else 1.0
     assert np.all(np.abs(out.per_client[:, 0] - b.values) <= bound + 1e-12)
     assert out.indices.min() >= 0 and out.indices.max() <= k - 1

@@ -372,6 +372,13 @@ class TestIndependentBaselines:
             acc += rep.estimate
         assert np.abs(acc / trials - b.mean()).max() < 3e-2 * b.radius
 
+    def test_key_is_required_and_keyword_only(self):
+        b = make_batch()
+        with pytest.raises(TypeError):
+            vq.independent_vector_sq(b, 4)
+        with pytest.raises(TypeError):
+            vq.independent_vector_sq(b, 4, False, 7)
+
     def test_terngrad_unbiased_and_payload(self):
         b = make_batch(n=6, d=5, seed=9)
         acc = np.zeros(b.d)
