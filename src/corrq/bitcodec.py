@@ -74,6 +74,7 @@ class MalformedStreamError(CodecError):
 
     def __init__(self, message: str, bit_offset: int):
         super().__init__(f"{message} (bit offset {bit_offset})")
+        self.reason = message
         self.bit_offset = bit_offset
 
 
@@ -198,106 +199,266 @@ def elias_gamma_encode(value: int) -> BitStream:
     return BitStream((int(value) << (8 * size - width)).to_bytes(size, "big"), width)
 
 
-_GAMMA_BLOCK = 1 << 16  # values per vectorized pass; bounds the index arrays
+def _int64_values(values) -> np.ndarray:
+    """values as an int64 array. Integer dtypes and exactly integral
+    floats are accepted when every value fits in int64; anything else
+    raises InvalidParameterError rather than being rounded or wrapped."""
+    v = np.asarray(values)
+    if v.dtype.kind == "f":
+        if not (v == np.floor(v)).all():
+            raise InvalidParameterError("values must be integers")
+        if not ((v >= -(2.0**63)) & (v < 2.0**63)).all():
+            raise InvalidParameterError("a value does not fit in int64")
+    elif v.dtype.kind == "u":
+        if v.size and v.max() >= 1 << 63:
+            raise InvalidParameterError("a value does not fit in int64")
+    elif v.dtype.kind != "i":
+        raise InvalidParameterError(
+            f"values must be integers that fit in int64, got dtype {v.dtype}"
+        )
+    return v.astype(np.int64, copy=False)
 
 
 def elias_gamma_encode_many(values: Sequence[int] | np.ndarray) -> BitStream:
-    """Concatenated gamma codes, vectorized over blocks of values."""
-    v = np.asarray(values, dtype=np.int64)
-    if v.size == 0:
-        return BitStream(b"", 0)
-    if v.min() < 1:
+    """Concatenated gamma codes of positive int64 values."""
+    v = _int64_values(values).ravel()
+    return elias_gamma_encode_rows(v, [v.size])[0]
+
+
+def elias_gamma_encode_rows(values, counts) -> BitRows:
+    """Rows of concatenated gamma codes: row i holds the codes of the
+    next counts[i] of the positive int64 values, padded to a byte.
+
+    The code of v is v written MSB-first in 2 bitlen(v) - 1 bits, so its
+    leading zeros add no bits: v only has to end where its codeword ends,
+    at the cumulative codeword widths plus the padding of the rows
+    before. The values go into big-endian 64-bit words. Codewords never
+    overlap, so one sum per word is their OR, and a value that crosses
+    into a word from the one before spills its high part there.
+    """
+    v = _int64_values(values).ravel()
+    counts = _int64_values(counts).ravel()
+    if counts.size and counts.min() < 0 or counts.sum() != v.size:
+        raise InvalidParameterError(f"row counts do not split {v.size} values")
+    if v.size and v.min() < 1:
         raise InvalidParameterError("gamma code needs values >= 1")
-    blocks = [
-        _gamma_bits(v[i : i + _GAMMA_BLOCK]) for i in range(0, v.size, _GAMMA_BLOCK)
-    ]
-    bits = np.concatenate(blocks)
-    return BitStream(np.packbits(bits).tobytes(), bits.size)
-
-
-def _gamma_bits(v: np.ndarray) -> np.ndarray:
-    """The gamma codes of positive int64 values as one 0/1 uint8 array."""
-    b = np.floor(np.log2(v)).astype(np.int64) + 1
-    # guard against float log rounding near powers of two (shifting v, not
-    # 1, so that no shift overflows int64)
-    b = np.where((v >> (b - 1)) == 0, b - 1, b)
-    b = np.where((v >> b) > 0, b + 1, b)
-    widths = 2 * b - 1
-    ends = np.cumsum(widths)
-    owner = np.repeat(np.arange(v.size), widths)
-    shift = (ends[owner] - 1) - np.arange(int(ends[-1]))
-    return ((v[owner] >> shift) & 1).astype(np.uint8)
+    pos = np.int32 if v.size < 1 << 24 else np.int64  # codewords are < 128 bits
+    _, b = np.frexp(v)  # bit lengths; the float of v >= 2**53 may round up
+    if v.size and v.max() >= 1 << 53:
+        b -= (v >> (b - 1)) == 0
+    b = b.astype(pos, copy=False)
+    ends = np.zeros(v.size + 1, dtype=pos)
+    np.cumsum(2 * b - 1, out=ends[1:])
+    lengths = np.diff(ends[np.cumsum(counts)], prepend=0).astype(np.int64)
+    pad = -lengths & 7
+    last = ends[1:]  # the last bit of each value, after the rows' padding
+    last += np.repeat((np.cumsum(pad) - pad - 1).astype(pos), counts)
+    word = last >> 6
+    shift = np.bitwise_and(last, 63, out=last)
+    np.subtract(63, shift, out=shift)
+    u = v.view(np.uint64)
+    spill = np.flatnonzero(shift + b > 64)
+    high = u[spill] >> (64 - shift[spill]).astype(np.uint64)
+    low = shift.astype(np.uint64)
+    np.left_shift(u, low, out=low)
+    size = int((lengths + pad).sum()) >> 3
+    words = np.zeros((size + 7) >> 3, dtype=np.uint64)
+    if v.size:
+        seg = np.flatnonzero(word[1:] != word[:-1])
+        seg = np.concatenate([[0], seg + 1])
+        words[word[seg]] = np.add.reduceat(low, seg)
+        words[word[spill] - 1] += high
+    return BitRows(words.astype(">u8").view(np.uint8)[:size], lengths)
 
 
 _DECODE_WINDOW = 1 << 21  # bits per vectorized pass; bounds the position arrays
 
 
 def elias_gamma_decode(stream: BitStream) -> list[int]:
-    """Decode a whole stream of gamma codes back to positive integers.
-
-    Consumes every bit; truncated or dangling input raises
-    MalformedStreamError with the offending bit offset. A codeword that
-    starts at bit s has its leading one at lead(s), the first one at or
-    after s, and the next codeword starts at 2 lead(s) - s + 1. That jump
-    is computed for every bit of a window at once; the chain of starts is
-    walked eight codewords per Python step and filled in by array
-    gathers. A window ends before the first codeword that crosses it (and
-    doubles when one codeword is longer than the whole window).
-    """
-    bits = stream.bits()
-    data = np.frombuffer(stream.data + bytes(8), dtype=np.uint8)
-    out: list[int] = []
-    start, window = 0, _DECODE_WINDOW
-    while start < bits.size:
-        done = _decode_window(bits, data, start, min(bits.size, start + window), out)
-        if done == start:
-            window *= 2
-        start = done
+    """Decode a whole stream of gamma codes back to positive integers of
+    any size. Consumes every bit; truncated or dangling input raises
+    MalformedStreamError with the offending bit offset."""
+    _, values, wide = _gamma_decode(stream.bits(), np.frombuffer(stream.data, np.uint8))
+    out = values.tolist()
+    for i, value in wide:
+        out[i] = value
     return out
 
 
-def _decode_window(bits, data, start: int, stop: int, out: list[int]) -> int:
-    """Append the codewords from bit `start` that end by `stop` to out and
-    return where the next one starts; at the end of the stream a
-    codeword that does not end there raises."""
+def elias_gamma_decode_rows(rows: BitRows, counts) -> np.ndarray:
+    """The int64 values of rows of gamma codes, row i holding counts[i]
+    codewords; the inverse of elias_gamma_encode_rows.
+
+    The rows' padding is dropped and the joined bits are decoded as one
+    stream. The rows are as counted when the stream holds sum(counts)
+    codewords and each nonempty row's first codeword starts at the row's
+    first bit (empty rows hold no bits). Otherwise, or when the joined
+    stream does not decode or a value exceeds int64, the first faulty row
+    decoded alone raises MalformedStreamError at a bit offset inside it,
+    counted from the start of rows.data.
+    """
+    counts = _int64_values(counts)
+    if counts.shape != (len(rows),) or (counts.size and counts.min() < 0):
+        raise InvalidParameterError(f"need {len(rows)} nonnegative row counts")
+    pad = -rows.lengths & 7
+    spots = 8 * rows.ends[:, None] - 1 - np.arange(7)  # each row's last 7 bits
+    spots = spots[np.arange(7) < pad[:, None]]
+    padded = np.unpackbits(rows.data)
+    nonzero = spots[padded[spots] == 1]
+    if nonzero.size:
+        raise MalformedStreamError("nonzero padding bits", int(nonzero.min()))
+    keep = np.ones(padded.size, dtype=bool)
+    keep[spots] = False
+    bits = padded[keep]
+    del padded, keep
+    try:
+        starts, values, wide = _gamma_decode(bits, np.packbits(bits))
+    except MalformedStreamError:
+        raise _row_fault(rows, counts) from None
+    firsts, full = np.cumsum(counts) - counts, counts > 0
+    bounds = np.cumsum(rows.lengths) - rows.lengths
+    if (
+        starts.size != counts.sum()
+        or rows.lengths[~full].any()
+        or not np.array_equal(starts[firsts[full]], bounds[full])
+        or any(value >= 1 << 63 for _, value in wide)
+    ):
+        raise _row_fault(rows, counts)
+    for i, value in wide:
+        values[i] = value
+    return values
+
+
+def _row_fault(rows: BitRows, counts: np.ndarray) -> MalformedStreamError:
+    """The error of the first row that does not decode alone to
+    counts[i] int64 values, at its offset in rows.data."""
+    for i, row in enumerate(rows):
+        first = 8 * int(rows.ends[i] - (rows.lengths[i] + 7 >> 3))
+        want = int(counts[i])
+        try:
+            starts, _, wide = _gamma_decode(row.bits(), np.frombuffer(row.data, "u1"))
+        except MalformedStreamError as err:
+            return MalformedStreamError(f"row {i}: {err.reason}", first + err.bit_offset)
+        if starts.size > want:
+            return MalformedStreamError(
+                f"row {i} holds more than {want} codewords", first + int(starts[want])
+            )
+        if starts.size < want:
+            return MalformedStreamError(
+                f"row {i} holds {starts.size} of {want} codewords", first
+            )
+        for j, value in wide:
+            if value >= 1 << 63:
+                return MalformedStreamError(
+                    f"row {i}: gamma value exceeds int64", first + int(starts[j])
+                )
+    raise AssertionError("every row decodes alone, so the joined rows decode")
+
+
+def _gamma_decode(bits: np.ndarray, data: np.ndarray):
+    """The codewords of a whole 0/1 stream `bits`, packed as `data`:
+    their start bits, their int64 values (exact below 2**57) and
+    (index, value) pairs that give the wider values as Python ints.
+
+    A codeword that starts at bit s has its leading one at lead(s), the
+    first one at or after s, and the next codeword starts at
+    2 lead(s) - s + 1. That jump is computed for every bit of a window at
+    once; the chain of starts is walked 32 codewords per Python step and
+    filled in by array gathers. A window ends before the first codeword
+    that crosses it (and doubles when one codeword is longer than the
+    whole window). Truncated or dangling input raises MalformedStreamError
+    with the offending bit offset.
+    """
+    dtype = np.int32 if bits.size < 1 << 31 else np.int64
+    starts, values, wide = [np.zeros(0, dtype)], [np.zeros(0, np.int64)], []
+    start, window, count = 0, _DECODE_WINDOW, 0
+    while start < bits.size:
+        part_starts, part_values, part_wide, done = _decode_window(
+            bits, data, start, min(bits.size, start + window)
+        )
+        if done == 0:
+            window *= 2
+            continue
+        starts.append(np.add(part_starts, start, dtype=dtype))
+        values.append(part_values)
+        wide += [(count + i, value) for i, value in part_wide]
+        count += part_starts.size
+        start += done
+    return np.concatenate(starts), np.concatenate(values), wide
+
+
+def _decode_window(bits, data, start: int, stop: int):
+    """The codewords from bit `start` that end by `stop`, as _gamma_decode
+    gives them but with starts counted from `start`, and the length of
+    bits they fill; at the end of the stream a codeword that does not end
+    there raises."""
     size = stop - start
     pos = np.arange(size, dtype=np.int32 if size < 1 << 30 else np.int64)
-    lead = np.minimum.accumulate(np.where(bits[start:stop] == 1, pos, size)[::-1])[::-1]
-    # codeword ends; size (clean end) and size + 1 (overrun) are fixed points
-    ends = np.minimum(2 * lead - pos + 1, size + 1)
-    jump = np.concatenate([ends, np.array([size, size + 1], dtype=pos.dtype)])
-    far = jump
-    for _ in range(3):  # eight codewords ahead
-        far = far[far]
-    coarse = [0]
-    while coarse[-1] < size:
-        coarse.append(int(far[coarse[-1]]))
-    chain = [np.array(coarse[:-1])]
-    for _ in range(7):
+    # jump: each bit's codeword end, via its lead; size (clean end) and
+    # size + 1 (overrun) are fixed points
+    jump = np.empty(size + 2, dtype=pos.dtype)
+    ends = jump[:size]
+    np.minimum.accumulate(
+        np.where(bits[start:stop].view(bool), pos, size)[::-1], out=ends[::-1]
+    )
+    ends *= 2
+    ends -= pos
+    ends += 1
+    np.minimum(ends, size + 1, out=ends)
+    jump[size:] = size, size + 1
+    del pos, ends
+    far, spare = np.take(jump, jump), np.empty_like(jump)
+    for _ in range(4):  # 32 codewords ahead
+        np.take(far, far, out=spare, mode="clip")
+        far, spare = spare, far
+    del spare
+    coarse, at = [], 0
+    while at < size:
+        coarse.append(at)
+        at = far.item(at)
+    del far
+    chain = [np.array(coarse, dtype=jump.dtype)]
+    for _ in range(31):
         chain.append(jump[chain[-1]])
     starts = np.stack(chain, axis=1).ravel()
     starts = starts[starts < size]
-    last = int(starts[-1])
-    if jump[last] <= size:
+    last, end = int(starts[-1]), int(jump[starts[-1]])
+    if end <= size:
         last = size
     elif stop < bits.size:  # the codeword at last continues past the window
         starts = starts[:-1]
-    elif lead[last] == size:
+    elif not bits[start + last : stop].any():
         raise MalformedStreamError("zero run reaches end of stream", start + last)
     else:
         raise MalformedStreamError("truncated gamma codeword", start + last)
-    # read each codeword as a 64-bit window of the bytes at its leading one
-    leads = lead[starts].astype(np.int64) + start
-    starts = starts + start
-    widths = np.minimum(leads - starts + 1, 57)
-    words = data[(leads >> 3)[:, None] + np.arange(8)].view(">u8")[:, 0]
-    words = words.astype(np.uint64) << (leads & 7).astype(np.uint64)
-    values = (words >> (64 - widths).astype(np.uint64)).tolist()
-    for i in np.flatnonzero(leads - starts >= 57):  # values of 2**57 and up
-        first, end = int(leads[i]), int(2 * leads[i] - starts[i] + 1)
-        values[i] = int("".join(map(str, bits[first:end])), 2)
-    out.extend(values)
-    return start + last
+    # a codeword ends where the next starts, and its value is its last
+    # (end - start + 1) / 2 bits: the top bits of the 64-bit word at its
+    # leading one
+    width = np.append(starts[1:], last) - starts
+    width += 1
+    width >>= 1
+    at = starts + width - 1 + (start & 7)  # counted from byte start >> 3
+    words = _byte_words(data, start >> 3, (stop + 7) >> 3)[at >> 3]
+    words <<= (at & 7).astype(np.uint64)
+    words >>= (64 - np.minimum(width, 57)).astype(np.uint64)
+    wide = []
+    for i in np.flatnonzero(width > 57):  # values of 2**57 and up
+        first = start + int(starts[i]) + int(width[i]) - 1
+        value = bits[first : first + int(width[i])]
+        wide.append((int(i), int("".join(map(str, value)), 2)))
+    return starts, words.view(np.int64), wide, last
+
+
+def _byte_words(data: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The big-endian uint64 that starts at each of the bytes lo..hi-1 of
+    data, reading zeros past its end."""
+    chunk = np.zeros(hi - lo + 8, dtype=np.uint8)
+    piece = data[lo : hi + 7]
+    chunk[: piece.size] = piece
+    words = np.empty(hi - lo, dtype=np.uint64)
+    for j in range(8):
+        words[j::8] = chunk[j : j + 8 * len(range(j, hi - lo, 8))].view(">u8")
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -357,35 +518,39 @@ def fixed_width_indices(bits: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def zigzag_encode(indices: np.ndarray, k: int) -> np.ndarray:
-    """Map level indices to gamma-codable values, center-first.
+def _zigzag_values(k: int) -> np.ndarray:
+    """The zig-zag value of each level index 0..k-1, center-first.
 
     Deltas from the grid midpoint k//2 interleave as 0, -1, +1, -2, ...
     -> 1, 2, 3, 4, ..., so the central levels (where ball-bounded
-    coordinates concentrate) get the shortest codewords.
+    coordinates concentrate) get the shortest codewords: [0, k) maps
+    onto [1, k].
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    delta = np.arange(k, dtype=np.int64) - k // 2
+    return np.where(delta >= 0, 2 * delta, -2 * delta - 1) + 1
+
+
+def zigzag_encode(indices: np.ndarray, k: int) -> np.ndarray:
+    """Map level indices to gamma-codable values (see _zigzag_values)."""
+    idx = _int64_values(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise InvalidParameterError(f"indices outside [0, {k})")
-    delta = idx - k // 2
-    folded = np.where(delta >= 0, 2 * delta, -2 * delta - 1)
-    return folded + 1
+    return _zigzag_values(k)[idx]
 
 
 def zigzag_decode(values: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of zigzag_encode; rejects values outside the alphabet."""
+    """Inverse of zigzag_encode; rejects values outside [1, k] at their
+    position."""
     v = np.asarray(values, dtype=np.int64)
-    if v.size and v.min() < 1:
-        raise MalformedStreamError("zig-zag values must be >= 1", 0)
-    folded = v - 1
-    delta = np.where(folded % 2 == 0, folded // 2, -(folded + 1) // 2)
-    idx = delta + k // 2
-    if idx.size and (idx.min() < 0 or idx.max() >= k):
-        bad = int(np.argmax((idx < 0) | (idx >= k)))
+    bad = (v < 1) | (v > k)
+    if bad.any():
+        at = int(np.argmax(bad.ravel()))
         raise MalformedStreamError(
-            f"decoded index {int(idx[bad])} outside [0, {k})", bad
+            f"zig-zag value {int(v.flat[at])} outside [1, {k}]", at
         )
-    return idx
+    table = np.empty(k + 1, dtype=np.int64)
+    table[_zigzag_values(k)] = np.arange(k)
+    return table[v]
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,10 @@ class Scheme(NamedTuple):
         message is as long as bits (n,), its price, says."""
         k = self.wire_levels(k)
         if self.gamma:
-            out = bc.BitRows.from_streams([
-                bc.elias_gamma_encode_many(bc.zigzag_encode(row, k))
-                for row in indices_nd
-            ])
+            n, dp = indices_nd.shape
+            out = bc.elias_gamma_encode_rows(
+                bc.zigzag_encode(indices_nd, k).ravel(), np.full(n, dp)
+            )
         else:
             body = bc.fixed_width_bits(indices_nd, k)
             if self.scale_tail:
@@ -112,23 +112,26 @@ class Scheme(NamedTuple):
             raise RuntimeError(f"a {self.name} payload differs from its price")
         return out
 
-    def decode(self, payloads: bc.BitRows, k: int):
-        """Indices (n, dp) and scales (n,) or None of one trial's payloads."""
-        k = self.wire_levels(k)
+    def decode(self, payloads: bc.BitRows, k: int, dp: int):
+        """Indices (n, dp) and scales (n,) or None of one trial's payloads,
+        which must hold dp indices each: a gamma row with another number
+        of codewords raises MalformedStreamError, a fixed-width row of
+        another length LengthMismatchError."""
+        k, n = self.wire_levels(k), len(payloads)
         if self.gamma:
-            rows = [
-                bc.zigzag_decode(np.asarray(bc.elias_gamma_decode(p), dtype=np.int64), k)
-                for p in payloads
-            ]
-            if len({len(row) for row in rows}) != 1:
-                raise RuntimeError(f"{self.name} payloads decode to unequal lengths")
-            return np.stack(rows), None
+            values = bc.elias_gamma_decode_rows(payloads, np.full(n, dp))
+            return bc.zigzag_decode(values, k).reshape(n, dp), None
         bits, scales = payloads.bit_matrix(), None
         if self.scale_tail:
             if bits.shape[1] < 64:
                 raise bc.MalformedStreamError("payload too short for scale tail", 0)
             bits, scales = bits[:, :-64], tail_scales(bits[:, -64:])
-        return bc.fixed_width_indices(bits, k), scales
+        indices = bc.fixed_width_indices(bits, k)
+        if indices.shape[1] != dp:
+            raise bc.LengthMismatchError(
+                f"{indices.shape[1]} indices per payload, expected {dp}"
+            )
+        return indices, scales
 
     @property
     def randomness(self) -> str:
@@ -609,7 +612,7 @@ def _audit_wire(
         (head[name] != value).any() for name, value in fields.items()
     ):
         raise RuntimeError(f"wire round trip altered a {spec.name} message")
-    got_idx, got_scales = spec.decode(received, prep.k)
+    got_idx, got_scales = spec.decode(received, prep.k, prep.dp)
     if not np.array_equal(got_idx, indices):
         raise RuntimeError(f"wire decode disagrees with engine for {spec.name}")
     if scales is not None and not np.array_equal(got_scales, scales):

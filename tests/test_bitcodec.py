@@ -312,7 +312,7 @@ def test_gamma_encode_many_is_the_concatenation_of_single_codes(values):
 
 
 def test_gamma_encode_many_across_blocks():
-    values = np.random.default_rng(3).integers(1, 2**20, size=bc._GAMMA_BLOCK + 7)
+    values = np.random.default_rng(3).integers(1, 2**20, size=65_543)
     want = np.concatenate([bc.elias_gamma_encode(int(v)).bits() for v in values])
     assert np.array_equal(bc.elias_gamma_encode_many(values).bits(), want)
 
@@ -322,6 +322,156 @@ def test_gamma_encode_many_across_blocks():
 def test_gamma_round_trip(values):
     stream = bc.elias_gamma_encode_many(values)
     assert bc.elias_gamma_decode(stream) == values
+
+
+class TestIntegerBoundary:
+    def test_fractional_values_are_rejected_not_truncated(self):
+        with pytest.raises(bc.InvalidParameterError):
+            bc.elias_gamma_encode_many([2.7, 3])
+        with pytest.raises(bc.InvalidParameterError):
+            bc.zigzag_encode(np.array([1.9]), 4)
+        with pytest.raises(bc.InvalidParameterError):
+            bc.elias_gamma_encode_rows([1, 2], [1.5, 0.5])
+
+    def test_integral_floats_are_the_integers(self):
+        assert bc.elias_gamma_encode_many([2.0, 3.0]) == bc.elias_gamma_encode_many([2, 3])
+        assert bc.zigzag_encode(np.array([1.0]), 4).tolist() == [2]
+
+    @pytest.mark.parametrize("values", [
+        [2**63 + 1], [2**64 + 1], [2**63], [2.0**63], [float("nan")],
+        [float("inf")], np.array([2**63], dtype=np.uint64), ["3"],
+    ])
+    def test_values_outside_int64_are_a_typed_error(self, values):
+        with pytest.raises(bc.InvalidParameterError):
+            bc.elias_gamma_encode_many(values)
+
+    def test_int64_limits(self):
+        top = 2**63 - 1
+        assert as_text(bc.elias_gamma_encode_many([top])) == as_text(bc.elias_gamma_encode(top))
+        # the one-value code stays exact past int64
+        assert as_text(bc.elias_gamma_encode(2**63 + 1)) == "0" * 63 + format(2**63 + 1, "b")
+        with pytest.raises(bc.InvalidParameterError):
+            bc.zigzag_encode(np.array([2**63], dtype=np.uint64), 4)
+
+
+def rows_reference(rows):
+    """Each row's elias_gamma_encode_many, padded to a byte."""
+    return bc.BitRows.from_streams([bc.elias_gamma_encode_many(row) for row in rows])
+
+
+def encode_rows(rows):
+    values = np.array([v for row in rows for v in row], dtype=np.int64)
+    return bc.elias_gamma_encode_rows(values, [len(row) for row in rows])
+
+
+def assert_same_rows(got, want):
+    assert got.lengths.tolist() == want.lengths.tolist()
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+GAMMA_VALUE = st.one_of(
+    st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2**62)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(GAMMA_VALUE, max_size=12), max_size=8))
+def test_gamma_rows_are_the_padded_per_row_codes(rows):
+    # ragged rows, empty rows and no rows at all
+    counts = [len(row) for row in rows]
+    got = encode_rows(rows)
+    assert_same_rows(got, rows_reference(rows))
+    assert bc.elias_gamma_decode_rows(got, counts).tolist() == [v for r in rows for v in r]
+
+
+def test_gamma_rows_at_every_word_alignment():
+    # after p one-bit codewords a wide value sits at every offset within a
+    # 64-bit word: codewords that end on bit 63 of a word and values that
+    # span two words
+    for big in (2**31, 2**62, 2**63 - 1, 5 * 2**40 + 3):
+        for p in range(130):
+            rows = [[1] * p + [big, 3], [big], [], [1] * (p % 9)]
+            got = encode_rows(rows)
+            assert_same_rows(got, rows_reference(rows))
+            values = bc.elias_gamma_decode_rows(got, [len(r) for r in rows])
+            assert values.tolist() == [v for r in rows for v in r]
+
+
+def rows_of(*texts):
+    return bc.BitRows.from_streams([from_text(t) for t in texts])
+
+
+def rows_decode_reference(texts, counts):
+    """Values, or ("error", offset) of the first faulty row decoded alone."""
+    out, first = [], 0
+    for text, count in zip(texts, counts):
+        values = gamma_decode_bit_by_bit(text)
+        if values and values[0] == "error":
+            return ("error", first + values[1])
+        starts = np.cumsum([0] + [2 * v.bit_length() - 1 for v in values])
+        if len(values) > count:
+            return ("error", first + int(starts[count]))
+        if len(values) < count:
+            return ("error", first)
+        for start, value in zip(starts, values):
+            if value >= 2**63:
+                return ("error", first + int(start))
+        out += values
+        first += 8 * ((len(text) + 7) // 8)
+    return out
+
+
+@pytest.mark.parametrize("texts, counts, offset", [
+    # "1 00|101 1 1" splits the codeword 5 across rows: the joined stream
+    # holds four codewords, but row 0 ends in a truncated one
+    (("1001", "0111"), (2, 2), 1),
+    (("111", "1"), (2, 2), 2),          # row 0 holds one codeword too many
+    (("11", "1"), (2, 2), 8),           # row 1 holds one too few
+    (("1", "010", "11"), (1, 2, 2), 8),  # row 1 holds one too few
+    (("11", "1001"), (2, 2), 9),        # truncated codeword in row 1
+    (("11", "1100"), (2, 2), 10),       # dangling zeros in row 1
+    (("11", "100"), (2, 1), 9),         # dangling zeros at the very end
+    (("1", "", "1"), (1, 1, 1), 8),     # an empty row that should hold one
+    (("1", "1", "1"), (1, 0, 2), 8),    # a row that should be empty
+    (("1", "0" * 63 + "1" + "0" * 63), (1, 1), 8),  # a value of 2**63
+])
+def test_gamma_rows_report_the_faulty_row(texts, counts, offset):
+    rows = rows_of(*texts)
+    assert rows_decode_reference(texts, counts) == ("error", offset)
+    with pytest.raises(bc.MalformedStreamError) as err:
+        bc.elias_gamma_decode_rows(rows, counts)
+    assert err.value.bit_offset == offset
+    row = int(np.searchsorted(rows.ends, offset // 8, side="right"))
+    start = 8 * int(rows.ends[row] - (rows.lengths[row] + 7) // 8)
+    assert start <= offset < start + max(int(rows.lengths[row]), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="01", max_size=30), max_size=6), st.data())
+def test_gamma_rows_decode_as_each_row_alone(texts, data):
+    # random rows, counted right or off by one: the joined decode gives the
+    # values or the first faulty row's error, as the rows decoded one by one
+    counts = []
+    for text in texts:
+        values = gamma_decode_bit_by_bit(text)
+        count = len(values) if values and values[0] != "error" else 0
+        counts.append(max(0, count + data.draw(st.sampled_from([0, 0, 0, -1, 1]))))
+    want = rows_decode_reference(texts, counts)
+    try:
+        got = bc.elias_gamma_decode_rows(rows_of(*texts), counts).tolist()
+    except bc.MalformedStreamError as err:
+        got = ("error", err.bit_offset)
+    assert got == want
+
+
+def test_gamma_rows_reject_nonzero_padding_and_bad_counts():
+    rows = bc.BitRows(np.array([0b10000001], dtype=np.uint8), np.array([1]))
+    with pytest.raises(bc.MalformedStreamError):
+        bc.elias_gamma_decode_rows(rows, [1])
+    with pytest.raises(bc.InvalidParameterError):
+        bc.elias_gamma_decode_rows(rows_of("1", "1"), [2])
+    with pytest.raises(bc.InvalidParameterError):
+        bc.elias_gamma_encode_rows([1, 2, 3], [1, 1])
 
 
 @settings(max_examples=150, deadline=None)

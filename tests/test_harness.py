@@ -132,12 +132,64 @@ def test_run_round_bits_are_the_serialized_payload_lengths(scheme):
             assert r.bits.dtype == np.int64
             want = [bc.HEADER_BITS + p.length for p in payloads]
             assert r.bits.tolist() == want, (scheme, n, d, k)
-            indices, scales = spec.decode(payloads, k)
+            indices, scales = spec.decode(payloads, k, r.indices.shape[1])
             assert np.array_equal(indices, r.indices)
             assert (scales is None) == (r.scales is None)
             assert r.scales is None or np.array_equal(scales, r.scales)
             with pytest.raises(RuntimeError, match="differs from its price"):
                 spec.payloads(r.indices, k, r.scales, r.bits + 1)
+
+
+@pytest.mark.parametrize("n, d, k", [(1, 1, 2), (7, 13, 4), (30, 8, 16), (9, 20, 64), (100, 256, 16)])
+def test_gamma_payloads_are_the_per_row_codes(n, d, k):
+    # the trial codec writes each row as the row's codewords, each one
+    # written alone, joined and padded to a byte
+    rng = np.random.default_rng(n * d + k)
+    r = hz.run_round(VectorBatch.from_vectors(rng.normal(size=(n, d))), "entropy-cq", k, n + d)
+    payloads = hz.SCHEME_TABLE["entropy-cq"].payloads(r.indices, k, r.scales, r.bits)
+    delta = r.indices - k // 2
+    zigzag = np.where(delta >= 0, 2 * delta, -2 * delta - 1) + 1
+    want = bc.BitRows.from_streams([
+        bc.BitStream.from_bits(np.concatenate([bc.elias_gamma_encode(int(v)).bits() for v in row]))
+        for row in zigzag
+    ])
+    assert payloads.lengths.tolist() == want.lengths.tolist()
+    assert payloads.data.tobytes() == want.data.tobytes()
+
+
+def test_gamma_audit_across_small_decode_windows(monkeypatch):
+    # 64-bit decode windows end inside codewords on every audited trial;
+    # the report is the same
+    spec = hz.SyntheticSpec(kind="uniform-mean", n=20, d=64, sigma_md=0.01)
+    want = hz.run_dme(spec, "entropy-cq", 6, 11, k=16, bit_trials=6)
+    windows = []
+    decode_window = bc._decode_window
+    monkeypatch.setattr(bc, "_DECODE_WINDOW", 64)
+    monkeypatch.setattr(
+        bc, "_decode_window", lambda *args: windows.append(args[2]) or decode_window(*args)
+    )
+    assert hz.run_dme(spec, "entropy-cq", 6, 11, k=16, bit_trials=6) == want
+    assert len(windows) >= 6 * 20 * 64 // 64
+
+
+def test_decode_checks_the_count_of_indices_per_row():
+    batch = VectorBatch.from_vectors(np.random.default_rng(4).normal(size=(6, 10)))
+    for scheme in ("entropy-cq", "correlated-klevel", "terngrad"):
+        spec = hz.SCHEME_TABLE[scheme]
+        r = hz.run_round(batch, scheme, 8, 3)
+        payloads = spec.payloads(r.indices, 8, r.scales, r.bits)
+        error = bc.MalformedStreamError if spec.gamma else bc.LengthMismatchError
+        for dp in (9, 11):
+            with pytest.raises(error):
+                spec.decode(payloads, 8, dp)
+    # one row a codeword longer and the next one shorter, as many in all
+    spec = hz.SCHEME_TABLE["entropy-cq"]
+    r = hz.run_round(batch, "entropy-cq", 8, 3)
+    values = bc.zigzag_encode(r.indices, 8).ravel()
+    moved = bc.elias_gamma_encode_rows(values, [11, 9, 10, 10, 10, 10])
+    with pytest.raises(bc.MalformedStreamError) as err:
+        spec.decode(moved, 8, 10)
+    assert 0 <= err.value.bit_offset < moved.lengths[0]
 
 
 def _trial_frame(scheme, n, d, k, seed):
