@@ -144,6 +144,14 @@ class BitRows:
                 f"{len(ends)} rows of {int(self.lengths.sum())} bits do not fill "
                 f"{self.data.size} bytes"
             )
+        pad = -self.lengths & 7
+        padded = np.flatnonzero(pad)
+        bad = padded[(self.data[ends[padded] - 1] & ((1 << pad[padded]) - 1)) != 0]
+        if bad.size:  # at the row's first padding bit
+            i = bad[0]
+            raise MalformedStreamError(
+                f"row {i}: nonzero padding bits", int(8 * ends[i] - pad[i])
+            )
         object.__setattr__(self, "ends", ends)
 
     @classmethod
@@ -186,17 +194,14 @@ class BitRows:
 
 
 def elias_gamma_encode(value: int) -> BitStream:
-    """Gamma code of one positive integer.
+    """Gamma code of one positive int64 value, the one-value case of
+    elias_gamma_encode_many.
 
     A value v with b significant bits encodes as b-1 zeros followed by the
     b bits of v, equivalently v written MSB-first in width 2b-1. Examples:
-    1 -> "1", 2 -> "010", 5 -> "00101". Exact for values of any size.
+    1 -> "1", 2 -> "010", 5 -> "00101".
     """
-    if value < 1:
-        raise InvalidParameterError(f"gamma code needs value >= 1, got {value}")
-    width = 2 * int(value).bit_length() - 1
-    size = (width + 7) // 8
-    return BitStream((int(value) << (8 * size - width)).to_bytes(size, "big"), width)
+    return elias_gamma_encode_many([value])
 
 
 def _int64_values(values) -> np.ndarray:
@@ -217,6 +222,14 @@ def _int64_values(values) -> np.ndarray:
             f"values must be integers that fit in int64, got dtype {v.dtype}"
         )
     return v.astype(np.int64, copy=False)
+
+
+def _level_indices(indices, k: int) -> np.ndarray:
+    """indices as int64 level indices in [0, k); see _int64_values."""
+    idx = _int64_values(indices)
+    if idx.size and (idx.min() < 0 or idx.max() >= k):
+        raise InvalidParameterError(f"indices outside [0, {k})")
+    return idx
 
 
 def elias_gamma_encode_many(values: Sequence[int] | np.ndarray) -> BitStream:
@@ -271,18 +284,17 @@ def elias_gamma_encode_rows(values, counts) -> BitRows:
     return BitRows(words.astype(">u8").view(np.uint8)[:size], lengths)
 
 
-_DECODE_WINDOW = 1 << 21  # bits per vectorized pass; bounds the position arrays
+# bits per vectorized pass; bounds the position arrays, and holds at
+# least one whole codeword of an int64 value (127 bits)
+_DECODE_WINDOW = 1 << 21
 
 
 def elias_gamma_decode(stream: BitStream) -> list[int]:
-    """Decode a whole stream of gamma codes back to positive integers of
-    any size. Consumes every bit; truncated or dangling input raises
-    MalformedStreamError with the offending bit offset."""
-    _, values, wide = _gamma_decode(stream.bits(), np.frombuffer(stream.data, np.uint8))
-    out = values.tolist()
-    for i, value in wide:
-        out[i] = value
-    return out
+    """Decode a whole stream of gamma codes back to positive int64
+    values. Consumes every bit; truncated or dangling input, or a value
+    of 2**63 or more, raises MalformedStreamError with the offending bit
+    offset."""
+    return _gamma_decode(stream.bits(), np.frombuffer(stream.data, np.uint8))[1].tolist()
 
 
 def elias_gamma_decode_rows(rows: BitRows, counts) -> np.ndarray:
@@ -293,26 +305,21 @@ def elias_gamma_decode_rows(rows: BitRows, counts) -> np.ndarray:
     stream. The rows are as counted when the stream holds sum(counts)
     codewords and each nonempty row's first codeword starts at the row's
     first bit (empty rows hold no bits). Otherwise, or when the joined
-    stream does not decode or a value exceeds int64, the first faulty row
-    decoded alone raises MalformedStreamError at a bit offset inside it,
-    counted from the start of rows.data.
+    stream does not decode, the first faulty row decoded alone raises
+    MalformedStreamError at a bit offset inside it, counted from the
+    start of rows.data.
     """
     counts = _int64_values(counts)
     if counts.shape != (len(rows),) or (counts.size and counts.min() < 0):
         raise InvalidParameterError(f"need {len(rows)} nonnegative row counts")
     pad = -rows.lengths & 7
     spots = 8 * rows.ends[:, None] - 1 - np.arange(7)  # each row's last 7 bits
-    spots = spots[np.arange(7) < pad[:, None]]
-    padded = np.unpackbits(rows.data)
-    nonzero = spots[padded[spots] == 1]
-    if nonzero.size:
-        raise MalformedStreamError("nonzero padding bits", int(nonzero.min()))
-    keep = np.ones(padded.size, dtype=bool)
-    keep[spots] = False
-    bits = padded[keep]
-    del padded, keep
+    keep = np.ones(8 * rows.data.size, dtype=bool)
+    keep[spots[np.arange(7) < pad[:, None]]] = False
+    bits = np.unpackbits(rows.data)[keep]
+    del keep
     try:
-        starts, values, wide = _gamma_decode(bits, np.packbits(bits))
+        starts, values = _gamma_decode(bits, np.packbits(bits))
     except MalformedStreamError:
         raise _row_fault(rows, counts) from None
     firsts, full = np.cumsum(counts) - counts, counts > 0
@@ -321,11 +328,8 @@ def elias_gamma_decode_rows(rows: BitRows, counts) -> np.ndarray:
         starts.size != counts.sum()
         or rows.lengths[~full].any()
         or not np.array_equal(starts[firsts[full]], bounds[full])
-        or any(value >= 1 << 63 for _, value in wide)
     ):
         raise _row_fault(rows, counts)
-    for i, value in wide:
-        values[i] = value
     return values
 
 
@@ -336,7 +340,7 @@ def _row_fault(rows: BitRows, counts: np.ndarray) -> MalformedStreamError:
         first = 8 * int(rows.ends[i] - (rows.lengths[i] + 7 >> 3))
         want = int(counts[i])
         try:
-            starts, _, wide = _gamma_decode(row.bits(), np.frombuffer(row.data, "u1"))
+            starts, _ = _gamma_decode(row.bits(), np.frombuffer(row.data, "u1"))
         except MalformedStreamError as err:
             return MalformedStreamError(f"row {i}: {err.reason}", first + err.bit_offset)
         if starts.size > want:
@@ -347,51 +351,40 @@ def _row_fault(rows: BitRows, counts: np.ndarray) -> MalformedStreamError:
             return MalformedStreamError(
                 f"row {i} holds {starts.size} of {want} codewords", first
             )
-        for j, value in wide:
-            if value >= 1 << 63:
-                return MalformedStreamError(
-                    f"row {i}: gamma value exceeds int64", first + int(starts[j])
-                )
     raise AssertionError("every row decodes alone, so the joined rows decode")
 
 
 def _gamma_decode(bits: np.ndarray, data: np.ndarray):
     """The codewords of a whole 0/1 stream `bits`, packed as `data`:
-    their start bits, their int64 values (exact below 2**57) and
-    (index, value) pairs that give the wider values as Python ints.
+    their start bits and their int64 values.
 
     A codeword that starts at bit s has its leading one at lead(s), the
     first one at or after s, and the next codeword starts at
     2 lead(s) - s + 1. That jump is computed for every bit of a window at
     once; the chain of starts is walked 32 codewords per Python step and
     filled in by array gathers. A window ends before the first codeword
-    that crosses it (and doubles when one codeword is longer than the
-    whole window). Truncated or dangling input raises MalformedStreamError
-    with the offending bit offset.
+    that crosses it. Truncated or dangling input, and a codeword with 63
+    or more leading zeros (a value of at least 2**63), raise
+    MalformedStreamError at the codeword's first bit.
     """
     dtype = np.int32 if bits.size < 1 << 31 else np.int64
-    starts, values, wide = [np.zeros(0, dtype)], [np.zeros(0, np.int64)], []
-    start, window, count = 0, _DECODE_WINDOW, 0
+    starts, values, start = [np.zeros(0, dtype)], [np.zeros(0, np.int64)], 0
     while start < bits.size:
-        part_starts, part_values, part_wide, done = _decode_window(
-            bits, data, start, min(bits.size, start + window)
+        part_starts, part_values, done = _decode_window(
+            bits, data, start, min(bits.size, start + _DECODE_WINDOW)
         )
-        if done == 0:
-            window *= 2
-            continue
         starts.append(np.add(part_starts, start, dtype=dtype))
         values.append(part_values)
-        wide += [(count + i, value) for i, value in part_wide]
-        count += part_starts.size
         start += done
-    return np.concatenate(starts), np.concatenate(values), wide
+    return np.concatenate(starts), np.concatenate(values)
 
 
 def _decode_window(bits, data, start: int, stop: int):
     """The codewords from bit `start` that end by `stop`, as _gamma_decode
     gives them but with starts counted from `start`, and the length of
     bits they fill; at the end of the stream a codeword that does not end
-    there raises."""
+    there raises, and so does one longer than the whole window, which
+    holds any int64 codeword."""
     size = stop - start
     pos = np.arange(size, dtype=np.int32 if size < 1 << 30 else np.int64)
     # jump: each bit's codeword end, via its lead; size (clean end) and
@@ -422,31 +415,39 @@ def _decode_window(bits, data, start: int, stop: int):
         chain.append(jump[chain[-1]])
     starts = np.stack(chain, axis=1).ravel()
     starts = starts[starts < size]
-    last, end = int(starts[-1]), int(jump[starts[-1]])
-    if end <= size:
+    last = int(starts[-1])
+    if jump[last] <= size:
         last = size
-    elif stop < bits.size:  # the codeword at last continues past the window
+    else:  # the codeword at last does not end in the window
         starts = starts[:-1]
-    elif not bits[start + last : stop].any():
-        raise MalformedStreamError("zero run reaches end of stream", start + last)
-    else:
-        raise MalformedStreamError("truncated gamma codeword", start + last)
     # a codeword ends where the next starts, and its value is its last
-    # (end - start + 1) / 2 bits: the top bits of the 64-bit word at its
-    # leading one
+    # (end - start + 1) / 2 bits
     width = np.append(starts[1:], last) - starts
     width += 1
     width >>= 1
+    big = width > 63
+    if big.any():
+        raise MalformedStreamError(
+            "gamma value exceeds int64", start + int(starts[big.argmax()])
+        )
+    if last < size and stop == bits.size:
+        if not bits[start + last : stop].any():
+            raise MalformedStreamError("zero run reaches end of stream", start + last)
+        raise MalformedStreamError("truncated gamma codeword", start + last)
+    if last == 0:  # longer than the window, which holds any int64 codeword
+        raise MalformedStreamError("gamma value exceeds int64", start)
+    # the value is the top bits of the 64-bit word at its leading one, and
+    # for values past 57 bits the top bits of the next byte below them
     at = starts + width - 1 + (start & 7)  # counted from byte start >> 3
+    shift = (at & 7).astype(np.uint64)
     words = _byte_words(data, start >> 3, (stop + 7) >> 3)[at >> 3]
-    words <<= (at & 7).astype(np.uint64)
-    words >>= (64 - np.minimum(width, 57)).astype(np.uint64)
-    wide = []
-    for i in np.flatnonzero(width > 57):  # values of 2**57 and up
-        first = start + int(starts[i]) + int(width[i]) - 1
-        value = bits[first : first + int(width[i])]
-        wide.append((int(i), int("".join(map(str, value)), 2)))
-    return starts, words.view(np.int64), wide, last
+    words <<= shift
+    long = np.flatnonzero(width > 57)
+    if long.size:  # clipped at the end: such a byte's bits are shifted out
+        below = np.minimum((start >> 3) + (at[long] >> 3) + 8, data.size - 1)
+        words[long] |= data[below].astype(np.uint64) >> (8 - shift[long])
+    words >>= (64 - width).astype(np.uint64)
+    return starts, words.view(np.int64), last
 
 
 def _byte_words(data: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -475,8 +476,7 @@ def fixed_width(k: int) -> int:
 
 def pack_fixed(indices: Sequence[int] | np.ndarray, k: int) -> BitStream:
     """Pack indices in [0, k) at ceil(log2 k) bits each, big-endian."""
-    row = fixed_width_bits(np.asarray(indices, dtype=np.int64).reshape(1, -1), k)
-    return BitRows.from_bits(row)[0]
+    return BitRows.from_bits(fixed_width_bits(np.reshape(indices, (1, -1)), k))[0]
 
 
 def unpack_fixed(stream: BitStream, k: int) -> np.ndarray:
@@ -488,9 +488,7 @@ def fixed_width_bits(indices: np.ndarray, k: int) -> np.ndarray:
     """The indices of each row of a (rows, m) array in [0, k) at
     ceil(log2 k) bits each, big-endian: a (rows, m * width) 0/1 array."""
     width = fixed_width(k)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= k):
-        raise InvalidParameterError(f"indices outside [0, {k})")
+    idx = _level_indices(indices, k)
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
     return ((idx[..., None] >> shifts) & 1).astype(np.uint8).reshape(len(idx), -1)
 
@@ -532,10 +530,7 @@ def _zigzag_values(k: int) -> np.ndarray:
 
 def zigzag_encode(indices: np.ndarray, k: int) -> np.ndarray:
     """Map level indices to gamma-codable values (see _zigzag_values)."""
-    idx = _int64_values(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= k):
-        raise InvalidParameterError(f"indices outside [0, {k})")
-    return _zigzag_values(k)[idx]
+    return _zigzag_values(k)[_level_indices(indices, k)]
 
 
 def zigzag_decode(values: np.ndarray, k: int) -> np.ndarray:
@@ -607,7 +602,9 @@ def frame_decode(buf: bytes, rows: int) -> tuple[np.ndarray, BitRows]:
     `rows` messages. Each check runs over every row, in message_decode's
     order, and raises its error: BadMagicError, UnknownSchemeError,
     LengthMismatchError when the declared bit lengths do not fill the
-    buffer, MalformedStreamError on nonzero padding."""
+    buffer, and BitRows' MalformedStreamError on nonzero padding."""
+    if rows < 0:
+        raise InvalidParameterError(f"need a nonnegative row count, got {rows}")
     size = rows * HEADER_BYTES
     if len(buf) < size:
         raise LengthMismatchError(
@@ -624,17 +621,9 @@ def frame_decode(buf: bytes, rows: int) -> tuple[np.ndarray, BitRows]:
         raise UnknownSchemeError(
             f"message {bad[0]}: unknown scheme byte {head['scheme'][bad[0]]}"
         )
-    bits = head["bits"].astype(np.int64)
-    payloads = BitRows(np.frombuffer(buf, dtype=np.uint8, offset=size), bits)
-    pad = ((bits + 7) >> 3) * 8 - bits
-    padded = np.flatnonzero(pad)
-    last = payloads.data[payloads.ends[padded] - 1]
-    bad = padded[(last & ((1 << pad[padded]) - 1)) != 0]
-    if bad.size:
-        raise MalformedStreamError(
-            f"message {bad[0]}: nonzero padding bits", int(bits[bad[0]])
-        )
-    return head, payloads
+    return head, BitRows(
+        np.frombuffer(buf, dtype=np.uint8, offset=size), head["bits"].astype(np.int64)
+    )
 
 
 def message_encode(msg: WireMessage) -> bytes:

@@ -181,8 +181,8 @@ def _apply_config(
     if not found.config or not argv or argv[0] not in table:
         return argv
     try:
-        config = json.loads(Path(found.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(found.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
         parser.error(f"--config {found.config}: {exc}")
     if not isinstance(config, dict):
         parser.error(f"--config {found.config}: expected a JSON object")

@@ -815,28 +815,33 @@ def _parse_rows(
     path: Path, expect_fields: int, id_fields: int
 ) -> list[list[float]]:
     """The rows of a CSV of finite numbers whose first id_fields columns
-    (labels, client ids) hold integers."""
+    (labels, client ids) hold integers, read as UTF-8."""
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"{path}: {exc.strerror or 'cannot open'}") from exc
-    rows = []
+    rows, lineno = [], 0
     with handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if len(row) != expect_fields:
-                raise DatasetError(
-                    f"{path}: row {lineno}: expected {expect_fields} fields, "
-                    f"got {len(row)}"
-                )
-            for column, cell in enumerate(row, start=1):
-                problem = _cell_problem(cell, integer=column <= id_fields)
-                if problem:
+        try:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if not row:
+                    continue
+                if len(row) != expect_fields:
                     raise DatasetError(
-                        f"{path}: row {lineno}, column {column}: {problem}"
+                        f"{path}: row {lineno}: expected {expect_fields} fields, "
+                        f"got {len(row)}"
                     )
-            rows.append([float(cell) for cell in row])
+                for column, cell in enumerate(row, start=1):
+                    problem = _cell_problem(cell, integer=column <= id_fields)
+                    if problem:
+                        raise DatasetError(
+                            f"{path}: row {lineno}, column {column}: {problem}"
+                        )
+                rows.append([float(cell) for cell in row])
+        except csv.Error as exc:  # such as a field past csv.field_size_limit()
+            raise DatasetError(f"{path}: row {lineno + 1}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     return rows

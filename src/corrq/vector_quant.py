@@ -178,7 +178,10 @@ def fwht(x: np.ndarray) -> np.ndarray:
         f = 1 << b
         right //= f
         if right == 1:  # H_f is symmetric, so rows times H_f
-            y = y.reshape(-1, f) @ _hadamard(f)
+            y = y.reshape(-1, f)
+            # one row goes through as a block of two: the one-row
+            # (matrix-vector) product rounds differently
+            y = (np.vstack([y, y]) @ _hadamard(f))[:1] if len(y) == 1 else y @ _hadamard(f)
         else:
             y = _hadamard(f) @ y.reshape(-1, f, right)
     return y.reshape(x.shape)

@@ -63,6 +63,22 @@ class TestBitStream:
         assert s.data == b"\x81"
 
 
+class TestBitRows:
+    @pytest.mark.parametrize("data, lengths, offset", [
+        ([0b10100001], [4], 4),                   # bits 1010, padding 0001
+        ([0b10000000, 0b11100000], [1, 2], 10),   # row 1 pads with 100000
+        ([0b01000000, 0b00000011], [2, 3], 11),   # row 1 pads with 00011
+    ])
+    def test_nonzero_padding_is_rejected_at_the_row_padding(self, data, lengths, offset):
+        with pytest.raises(bc.MalformedStreamError) as err:
+            bc.BitRows(np.array(data, dtype=np.uint8), np.array(lengths))
+        assert err.value.bit_offset == offset
+
+    def test_rows_without_padding(self):
+        rows = bc.BitRows(np.array([0xFF, 0x80], dtype=np.uint8), np.array([8, 0, 1]))
+        assert [as_text(r) for r in rows] == ["1" * 8, "", "1"]
+
+
 class TestGamma:
     def test_known_codewords(self):
         for value, code in GAMMA_TABLE.items():
@@ -241,12 +257,18 @@ def _msg() -> bc.WireMessage:
     )
 
 
+def gamma_text(values) -> str:
+    """Textbook gamma codewords of values, joined, as 0s and 1s."""
+    return "".join("0" * (int(v).bit_length() - 1) + format(int(v), "b") for v in values)
+
+
 def gamma_decode_bit_by_bit(text: str):
-    """Reference decoder: one bit at a time; values, or ("error", offset)."""
+    """Reference decoder: one bit at a time; values, or ("error", offset).
+    A codeword with 63 or more leading zeros holds a value past int64."""
     out, pos = [], 0
     while pos < len(text):
         zeros = len(text[pos:]) - len(text[pos:].lstrip("0"))
-        if pos + zeros == len(text):
+        if zeros >= 63 or pos + zeros == len(text):
             return ("error", pos)
         if pos + 2 * zeros + 1 > len(text):
             return ("error", pos)
@@ -267,20 +289,26 @@ def test_gamma_decode_matches_bit_by_bit_reference(text):
 
 
 def test_gamma_decode_across_small_windows(monkeypatch):
-    # 16-bit windows: codewords cross window ends, and some are longer
-    # than a whole window, which makes the window grow
-    monkeypatch.setattr(bc, "_DECODE_WINDOW", 16)
+    # 128-bit windows, the least that holds every int64 codeword:
+    # codewords cross window ends, and a codeword of a value past int64
+    # may be longer than a whole window
+    monkeypatch.setattr(bc, "_DECODE_WINDOW", 128)
     rnd = random.Random(5)
     for trial in range(400):
         values = [
             rnd.getrandbits(b) | 1 << (b - 1)
-            for b in (rnd.randint(1, 90) for _ in range(rnd.randint(0, 25)))
+            for b in (rnd.randint(1, 63) for _ in range(rnd.randint(0, 25)))
         ]
-        text = "".join(as_text(bc.elias_gamma_encode(v)) for v in values)
-        if trial % 3 == 1:
+        codes = [as_text(bc.elias_gamma_encode(v)) for v in values]
+        if trial % 4 == 3:  # a codeword of a value of 64 to 101 bits
+            b = rnd.randint(64, 101)
+            value = rnd.getrandbits(b) | 1 << (b - 1)
+            codes.insert(rnd.randint(0, len(codes)), gamma_text([value]))
+        text = "".join(codes)
+        if trial % 4 == 1:
             text = text[: rnd.randint(0, len(text))]
-        elif trial % 3 == 2:
-            text += "0" * rnd.randint(1, 40)
+        elif trial % 4 == 2:
+            text += "0" * rnd.randint(1, 200)
         want = gamma_decode_bit_by_bit(text)
         try:
             got = bc.elias_gamma_decode(from_text(text))
@@ -289,19 +317,37 @@ def test_gamma_decode_across_small_windows(monkeypatch):
         assert got == want, text
 
 
-def test_gamma_decode_values_past_64_bits():
-    values = [2**56 - 1, 2**56, 2**57, 2**63 + 5, 2**200 + 1, 3]
-    stream = bc.BitStream.from_bits(
-        np.concatenate([bc.elias_gamma_encode(v).bits() for v in values])
+def test_gamma_decode_values_to_the_int64_limit():
+    values = [2**56 - 1, 2**56, 2**57, 2**62 + 5, 2**63 - 1, 3]
+    for p in range(8):  # every value at every bit offset within a byte
+        text = "1" * p + "".join(as_text(bc.elias_gamma_encode(v)) for v in values)
+        assert bc.elias_gamma_decode(from_text(text)) == [1] * p + values
+
+
+@pytest.mark.parametrize("text, offset", [
+    pytest.param("0" * 63 + "1" + "0" * 63, 0, id="2^63"),
+    pytest.param("1" + "0" * 63 + "1" + "1" * 63, 1, id="2^64-1"),
+    pytest.param("011" + "0" * 200 + "1" + "0" * 200, 3, id="2^200"),
+    pytest.param("0" * 2**22 + "1", 0, id="longer-than-a-window"),
+])
+def test_gamma_decode_rejects_values_past_int64(monkeypatch, text, offset):
+    assert gamma_decode_bit_by_bit(text) == ("error", offset)
+    windows = []
+    decode_window = bc._decode_window
+    monkeypatch.setattr(
+        bc, "_decode_window", lambda *a: windows.append(a[3] - a[2]) or decode_window(*a)
     )
-    assert bc.elias_gamma_decode(stream) == values
+    bits = np.frombuffer(text.encode(), np.uint8) - ord("0")
+    with pytest.raises(bc.MalformedStreamError) as err:
+        bc.elias_gamma_decode(bc.BitStream(np.packbits(bits).tobytes(), bits.size))
+    assert err.value.bit_offset == offset
+    assert windows == [min(len(text), bc._DECODE_WINDOW)]  # no window grows
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=1, max_value=2**300))
-def test_gamma_encode_writes_the_code_at_any_size(value):
-    code = as_text(bc.elias_gamma_encode(value))
-    assert code == "0" * (value.bit_length() - 1) + format(value, "b")
+@given(st.integers(min_value=1, max_value=2**63 - 1))
+def test_gamma_encode_writes_the_code_of_any_int64(value):
+    assert as_text(bc.elias_gamma_encode(value)) == gamma_text([value])
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,8 +359,7 @@ def test_gamma_encode_many_is_the_concatenation_of_single_codes(values):
 
 def test_gamma_encode_many_across_blocks():
     values = np.random.default_rng(3).integers(1, 2**20, size=65_543)
-    want = np.concatenate([bc.elias_gamma_encode(int(v)).bits() for v in values])
-    assert np.array_equal(bc.elias_gamma_encode_many(values).bits(), want)
+    assert as_text(bc.elias_gamma_encode_many(values)) == gamma_text(values)
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,6 +381,7 @@ class TestIntegerBoundary:
     def test_integral_floats_are_the_integers(self):
         assert bc.elias_gamma_encode_many([2.0, 3.0]) == bc.elias_gamma_encode_many([2, 3])
         assert bc.zigzag_encode(np.array([1.0]), 4).tolist() == [2]
+        assert bc.pack_fixed([1.0, 3.0], 4) == bc.pack_fixed([1, 3], 4)
 
     @pytest.mark.parametrize("values", [
         [2**63 + 1], [2**64 + 1], [2**63], [2.0**63], [float("nan")],
@@ -344,14 +390,22 @@ class TestIntegerBoundary:
     def test_values_outside_int64_are_a_typed_error(self, values):
         with pytest.raises(bc.InvalidParameterError):
             bc.elias_gamma_encode_many(values)
+        with pytest.raises(bc.InvalidParameterError):
+            bc.elias_gamma_encode(values[0])
 
     def test_int64_limits(self):
         top = 2**63 - 1
-        assert as_text(bc.elias_gamma_encode_many([top])) == as_text(bc.elias_gamma_encode(top))
-        # the one-value code stays exact past int64
-        assert as_text(bc.elias_gamma_encode(2**63 + 1)) == "0" * 63 + format(2**63 + 1, "b")
+        assert as_text(bc.elias_gamma_encode_many([top])) == gamma_text([top])
         with pytest.raises(bc.InvalidParameterError):
             bc.zigzag_encode(np.array([2**63], dtype=np.uint64), 4)
+
+    @pytest.mark.parametrize("indices", [[1.9, 2.5], ["1"], [2**63], [2**64]])
+    def test_fixed_width_indices_are_checked_not_truncated(self, indices):
+        # rejected, not cast: [1.9, 2.5] would pack as [1, 2]
+        with pytest.raises(bc.InvalidParameterError):
+            bc.pack_fixed(indices, 4)
+        with pytest.raises(bc.InvalidParameterError):
+            bc.fixed_width_bits(np.array([indices]), 4)
 
 
 def rows_reference(rows):
@@ -413,9 +467,6 @@ def rows_decode_reference(texts, counts):
             return ("error", first + int(starts[count]))
         if len(values) < count:
             return ("error", first)
-        for start, value in zip(starts, values):
-            if value >= 2**63:
-                return ("error", first + int(start))
         out += values
         first += 8 * ((len(text) + 7) // 8)
     return out
@@ -465,9 +516,10 @@ def test_gamma_rows_decode_as_each_row_alone(texts, data):
 
 
 def test_gamma_rows_reject_nonzero_padding_and_bad_counts():
-    rows = bc.BitRows(np.array([0b10000001], dtype=np.uint8), np.array([1]))
     with pytest.raises(bc.MalformedStreamError):
-        bc.elias_gamma_decode_rows(rows, [1])
+        bc.elias_gamma_decode_rows(
+            bc.BitRows(np.array([0b10000001], dtype=np.uint8), np.array([1])), [1]
+        )
     with pytest.raises(bc.InvalidParameterError):
         bc.elias_gamma_decode_rows(rows_of("1", "1"), [2])
     with pytest.raises(bc.InvalidParameterError):

@@ -215,6 +215,14 @@ class TestConfigResolution:
             cli.main(["dme", "--config", str(config)])
         assert err.value.code == 2
 
+    def test_config_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"trials": 3, "scheme": "\xff"}')
+        with pytest.raises(SystemExit) as err:
+            cli.main(["kmeans", "--config", str(config)])
+        assert err.value.code == 2
+        assert f"error: --config {config}: " in capsys.readouterr().err
+
 
 class TestTasks:
     def test_kmeans_on_csv_files(self, capsys, tmp_path):
@@ -249,6 +257,22 @@ class TestTasks:
         )
         assert code == 2
         assert "a.csv: row 2, column 2: not finite" in err
+
+    def test_csv_field_past_the_csv_limit_exits_two(self, capsys, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("0,1,2\n1," + "1" * 200_000 + ",3\n")
+        code, _, err = run(capsys, "kmeans", "--data", str(a), "--features", "2")
+        assert code == 2
+        assert err.startswith(f"error: {a}: row 2: field larger than field limit")
+        assert len(err.strip().split("\n")) == 1
+
+    def test_csv_that_is_not_utf8_exits_two_and_names_the_file(self, capsys, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_bytes(b"0,1,2\n1,\xff,3\n")
+        code, _, err = run(capsys, "kmeans", "--data", str(a), "--features", "2")
+        assert code == 2
+        assert err.startswith(f"error: {a}: not UTF-8 text")
+        assert len(err.strip().split("\n")) == 1
 
     def test_power_on_fixture(self, capsys):
         code, out, _ = run(capsys, "power", "--rounds", "5")

@@ -142,15 +142,17 @@ def test_run_round_bits_are_the_serialized_payload_lengths(scheme):
 
 @pytest.mark.parametrize("n, d, k", [(1, 1, 2), (7, 13, 4), (30, 8, 16), (9, 20, 64), (100, 256, 16)])
 def test_gamma_payloads_are_the_per_row_codes(n, d, k):
-    # the trial codec writes each row as the row's codewords, each one
-    # written alone, joined and padded to a byte
+    # the trial codec writes each row as the row's textbook codewords,
+    # joined and padded to a byte
     rng = np.random.default_rng(n * d + k)
     r = hz.run_round(VectorBatch.from_vectors(rng.normal(size=(n, d))), "entropy-cq", k, n + d)
     payloads = hz.SCHEME_TABLE["entropy-cq"].payloads(r.indices, k, r.scales, r.bits)
     delta = r.indices - k // 2
     zigzag = np.where(delta >= 0, 2 * delta, -2 * delta - 1) + 1
     want = bc.BitRows.from_streams([
-        bc.BitStream.from_bits(np.concatenate([bc.elias_gamma_encode(int(v)).bits() for v in row]))
+        bc.BitStream.from_bits(
+            int(c) for v in row for c in "0" * (int(v).bit_length() - 1) + format(int(v), "b")
+        )
         for row in zigzag
     ])
     assert payloads.lengths.tolist() == want.lengths.tolist()
@@ -158,18 +160,18 @@ def test_gamma_payloads_are_the_per_row_codes(n, d, k):
 
 
 def test_gamma_audit_across_small_decode_windows(monkeypatch):
-    # 64-bit decode windows end inside codewords on every audited trial;
+    # 128-bit decode windows end inside codewords on every audited trial;
     # the report is the same
     spec = hz.SyntheticSpec(kind="uniform-mean", n=20, d=64, sigma_md=0.01)
     want = hz.run_dme(spec, "entropy-cq", 6, 11, k=16, bit_trials=6)
     windows = []
     decode_window = bc._decode_window
-    monkeypatch.setattr(bc, "_DECODE_WINDOW", 64)
+    monkeypatch.setattr(bc, "_DECODE_WINDOW", 128)
     monkeypatch.setattr(
         bc, "_decode_window", lambda *args: windows.append(args[2]) or decode_window(*args)
     )
     assert hz.run_dme(spec, "entropy-cq", 6, 11, k=16, bit_trials=6) == want
-    assert len(windows) >= 6 * 20 * 64 // 64
+    assert len(windows) >= 6 * 20 * 64 // 128
 
 
 def test_decode_checks_the_count_of_indices_per_row():
@@ -190,6 +192,15 @@ def test_decode_checks_the_count_of_indices_per_row():
     with pytest.raises(bc.MalformedStreamError) as err:
         spec.decode(moved, 8, 10)
     assert 0 <= err.value.bit_offset < moved.lengths[0]
+
+
+def test_fixed_width_rows_with_padding_bits_do_not_decode():
+    # bits 1010 and padding 0001 would read as [[2, 2]]; BitRows rejects
+    # the padding before any decoder sees the rows
+    spec = hz.SCHEME_TABLE["correlated-klevel"]
+    with pytest.raises(bc.MalformedStreamError) as err:
+        spec.decode(bc.BitRows(np.array([0b10100001], np.uint8), np.array([4])), 4, 2)
+    assert err.value.bit_offset == 4
 
 
 def _trial_frame(scheme, n, d, k, seed):
@@ -257,6 +268,13 @@ def test_a_corrupted_frame_row_raises_what_message_decode_raises(error):
             bc.message_decode(row)
         with pytest.raises(error):
             bc.frame_decode(bytes(frame), 6)
+
+
+def test_frame_decode_rejects_a_negative_row_count():
+    _, _, buf = _trial_frame("correlated-1bit", 6, 13, 2, 9)
+    for rows in (-1, -6):
+        with pytest.raises(bc.InvalidParameterError):
+            bc.frame_decode(buf, rows)
 
 
 @pytest.mark.parametrize(
@@ -502,6 +520,15 @@ class TestRunDme:
         whole = hz.run_dme(spec, scheme, 20, 17, k=k, bit_trials=10)
         assert hz.reports_to_csv([chunked]) == hz.reports_to_csv([whole])
         assert chunked == whole
+        if hz.SCHEME_TABLE[scheme].rotated:
+            # padded d of 8, 16 and 32: a chunk of one trial rotates one
+            # row at the last Hadamard factor, the default chunk a block
+            for d in (5, 13, 32):
+                small = hz.SyntheticSpec(kind="uniform-mean", n=9, d=d, sigma_md=0.1)
+                monkeypatch.setattr(hz, "CHUNK_ELEMENTS", 1 << 17)
+                chunked = hz.run_dme(small, scheme, 50, 3, k=4)
+                monkeypatch.setattr(hz, "CHUNK_ELEMENTS", 1)
+                assert hz.run_dme(small, scheme, 50, 3, k=4) == chunked, d
 
     def test_synthetic_spec_input_equals_pregenerated_batch(self):
         spec = hz.SyntheticSpec(kind="uniform-mean", n=10, d=4, sigma_md=0.02)

@@ -172,6 +172,18 @@ class TestRotation:
                 err = np.max(np.abs(vq.fwht(X) - X @ H.T))
                 assert err < 1e-10, (shape, err)
 
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    def test_fwht_of_one_row_is_its_row_of_a_block(self, m):
+        # a lone row rounds as in a block, not as a matrix-vector
+        # product would
+        X = np.random.default_rng(m).normal(size=(480, m))
+        block = vq.fwht(X)
+        for rows in (2, 3, 17, 480):
+            assert np.array_equal(vq.fwht(X[:rows]), block[:rows])
+        for i in range(20):
+            assert np.array_equal(vq.fwht(X[i]), block[i])
+            assert np.array_equal(vq.fwht(X[i : i + 1]), block[i : i + 1])
+
     def test_fwht_requires_power_of_two(self):
         with pytest.raises(ValueError):
             vq.fwht(np.zeros(6))
