@@ -104,9 +104,9 @@ class BitStream:
             raise InvalidParameterError(
                 f"{len(self.data)} bytes cannot hold exactly {self.length} bits"
             )
-        pad = len(self.data) * 8 - self.length
-        if pad and (self.data[-1] & ((1 << pad) - 1)):
-            raise InvalidParameterError("padding bits must be zero")
+        # BitRows owns the zero-padding rule: MalformedStreamError at the
+        # first nonzero padding bit
+        BitRows(np.frombuffer(self.data, dtype=np.uint8), np.array([self.length]))
 
     def __len__(self) -> int:
         return self.length
@@ -284,9 +284,9 @@ def elias_gamma_encode_rows(values, counts) -> BitRows:
     return BitRows(words.astype(">u8").view(np.uint8)[:size], lengths)
 
 
-# bits per vectorized pass; bounds the position arrays, and holds at
-# least one whole codeword of an int64 value (127 bits)
-_DECODE_WINDOW = 1 << 21
+# bits per vectorized pass; bounds the position arrays (about 20 bytes a
+# bit), and holds at least one whole codeword of an int64 value (127 bits)
+_DECODE_WINDOW = 1 << 16
 
 
 def elias_gamma_decode(stream: BitStream) -> list[int]:

@@ -23,6 +23,7 @@ with paired seeds across schemes, and CSV serialization of reports.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -132,14 +133,6 @@ class Scheme(NamedTuple):
                 f"{indices.shape[1]} indices per payload, expected {dp}"
             )
         return indices, scales
-
-    @property
-    def randomness(self) -> str:
-        """What one round reads: the shared "context" (permutations and
-        offsets, the level grid when k > 2 and the rotation signs when
-        rotated), the rotation "signs" only, or the counter-based
-        "private" rounding stream (plus the signs when rotated)."""
-        return {"correlated": "context", "sign": "signs"}.get(self.rule, "private")
 
 
 SCHEME_TABLE = {
@@ -518,7 +511,7 @@ def _prepare(batch, scheme: str, k: int) -> _Prepared:
         return _Prepared(spec, n, d, m, k, lower, width, x_pad=x_pad, scale=scale)
     if spec.rule == "ternary":
         # ternary values decode straight to data units: lower 0, width 1
-        x_dn = values_nd.T
+        x_dn = np.ascontiguousarray(values_nd.T)
         scales = np.abs(x_dn).max(axis=0)
         safe = np.where(scales > 0, scales, 1.0)
         return _Prepared(
@@ -526,22 +519,26 @@ def _prepare(batch, scheme: str, k: int) -> _Prepared:
             tern_prob=np.abs(x_dn) / safe, tern_sign=np.sign(x_dn),
             tern_scales=scales,
         )
-    y_dn = ((values_nd - lower) / width).T
+    y_dn = np.subtract(values_nd.T, lower, out=np.empty((d, n)))  # C-contiguous
+    y_dn /= width
     grid = uniform_grid_cells(y_dn * (k - 1), k) if spec.rule == "stochastic" else None
     return _Prepared(spec, n, d, d, k, lower, width, y_dn=y_dn, grid=grid)
 
 
-def _encode(prep: _Prepared, seeds: np.ndarray, ctx, y, grid=None) -> np.ndarray:
-    """Wire indices for y in [0, 1] on the (..., dp, n) layout; grid is
-    y's uniform-grid split when precomputed."""
-    if prep.scheme.rule == "correlated":
-        return cq_encode(
-            y, ctx.permutations, ctx.offset_units, ctx.grid_offsets, prep.k
-        )
-    cells, frac = grid if grid is not None else uniform_grid_cells(
-        y * (prep.k - 1), prep.k
-    )
-    return cells + (private_uniforms(seeds, prep.dp, prep.n) < frac)
+_WORKSPACE = threading.local()  # the engine's per-thread buffers (_buffer)
+
+
+def _buffer(i: int, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """This thread's buffer i as a C-contiguous array of shape and 8-byte
+    dtype. Every chunk of every call reuses it, so no call faults memory in;
+    it grows to the largest chunk, and one above CHUNK_ELEMENTS is fresh."""
+    size = math.prod(shape)
+    if size > CHUNK_ELEMENTS:
+        return np.empty(shape, dtype)
+    buffers = _WORKSPACE.__dict__.setdefault("buffers", [np.empty(0, np.uint64)] * 3)
+    if buffers[i].size < size:
+        buffers[i] = np.empty(size, np.uint64)
+    return buffers[i][:size].view(dtype).reshape(shape)
 
 
 def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
@@ -554,45 +551,56 @@ def _evaluate_chunk(prep: _Prepared, seeds: np.ndarray):
     (see _Prepared.estimates; signs is None otherwise). indices (C, dp, n)
     are sent on the wire, scales (C, n) ride in the scale tail, and clips
     counts the coordinates clipped into [-1, 1].
+
+    Every chunk-sized array is one of the thread's three workspace
+    buffers; each stage writes over dead contents (the permutations become
+    the indices, the offsets the values), so results last until its next chunk.
     """
-    spec, ctx = prep.scheme, None
-    if spec.randomness == "context":
-        ctx = build_context_arrays(
-            seeds, prep.n, prep.dp, prep.k, grid=prep.k > 2, signs=spec.rotated
-        )
+    spec, n, dp, k, buf = prep.scheme, prep.n, prep.dp, prep.k, _buffer
+    shape = (len(seeds), dp, n)
+    signs, clips, y = None, 0, prep.y_dn
     if spec.rule == "ternary":
-        priv = private_uniforms(seeds, prep.d, prep.n)
-        trits = np.where(priv < prep.tern_prob, prep.tern_sign, 0.0)
-        scales = np.broadcast_to(prep.tern_scales, (len(seeds), prep.n))
-        return trits * prep.tern_scales, trits.astype(np.int64) + 1, scales, 0, None
-    if not spec.rotated:
-        signs, clips = None, 0
-        idx = _encode(prep, seeds, ctx, prep.y_dn, prep.grid)
-    else:
+        trits = private_uniforms(seeds, dp, n, out=buf(0, shape))
+        np.multiply(np.less(trits, prep.tern_prob, out=trits), prep.tern_sign, out=trits)
+        trits += 0.0  # np.where's +0.0 where a sign times 0.0 is -0.0
+        idx = np.add(trits, 1, out=buf(1, shape, np.int64), casting="unsafe")
+        trits *= prep.tern_scales
+        return trits, idx, np.broadcast_to(prep.tern_scales, (len(seeds), n)), 0, None
+    if spec.rotated:
         # the rotated family: shared signs, rotate, quantize; the server
         # un-rotates (_Prepared.estimates)
-        signs = ctx.rotation_signs if ctx is not None else rotation_signs(seeds, prep.dp)
-        rotated = rotate(prep.x_pad, signs[:, None, :])
+        signs = rotation_signs(seeds, dp)
+        rot = (len(seeds), n, dp)
+        y = rotate(prep.x_pad, signs[:, None, :], out=(buf(2, rot), buf(1, rot)))
         if spec.rule == "sign":
-            bits, scales = sign_scale_kernel(rotated)
-            values = scales[..., None] * (2.0 * bits - 1.0)
-            return values, bits.transpose(0, 2, 1), scales, 0, signs
-        scaled = rotated * prep.scale
-        clips = int(np.count_nonzero(np.abs(scaled) > 1.0))
-        y = ((np.clip(scaled, -1.0, 1.0) + 1.0) / 2.0).transpose(0, 2, 1)
-        idx = _encode(prep, seeds, ctx, y)
-    if spec.rule != "correlated":
-        vals = idx / (prep.k - 1)
+            bits, scales = sign_scale_kernel(y, out=(buf(0, rot, np.int64), buf(1, rot)))
+            np.subtract(np.multiply(bits, 2.0, out=y), 1.0, out=y)
+            y *= scales[..., None]
+            return y, bits.transpose(0, 2, 1), scales, 0, signs
+        y *= prep.scale
+        clips = int(np.count_nonzero(np.abs(y, out=buf(1, rot)) > 1.0))
+        y = np.add(np.clip(y, -1.0, 1.0, out=y), 1.0, out=y)
+        y = np.divide(y, 2.0, out=y).transpose(0, 2, 1)
+    if spec.rule == "correlated":
+        ctx = build_context_arrays(seeds, n, dp, k, grid=k > 2, signs=False,
+                                   out=(buf(0, shape, np.uint64), buf(1, shape, np.uint64)))
+        work = y if spec.rotated else buf(2, y.shape if k == 2 else shape)
+        idx = cq_encode(y, ctx.permutations, ctx.offset_units, ctx.grid_offsets, k,
+                        out=(ctx.permutations, ctx.offset_units, work))
+        vals = cq_decode(idx, ctx.grid_offsets, k, out=ctx.offset_units)
     else:
-        # drop the chunk's permutations and offsets before the decode
-        # allocates, which then reuses their memory instead of growing the
-        # heap
-        grid_offsets, ctx = ctx.grid_offsets, None
-        vals = cq_decode(idx, grid_offsets, prep.k)
+        cells, frac = prep.grid if not spec.rotated else uniform_grid_cells(
+            np.multiply(y, k - 1, out=y), k, out=(buf(1, shape, np.int64), y)
+        )
+        priv = private_uniforms(seeds, dp, n, out=buf(0, shape))
+        bits = np.less(priv, frac, out=priv)
+        idx = np.add(cells, bits, out=buf(1, shape, np.int64), casting="unsafe")
+        vals = np.divide(idx, k - 1, out=priv)
     if not spec.rotated:
         return vals, idx, None, 0, None
-    z = (-1.0 + 2.0 * vals).transpose(0, 2, 1) / prep.scale
-    return z, idx, None, clips, signs
+    np.subtract(np.multiply(vals, 2.0, out=vals), 1.0, out=vals)
+    vals /= prep.scale
+    return vals.transpose(0, 2, 1), idx, None, clips, signs
 
 
 def _audit_wire(
@@ -644,7 +652,7 @@ def run_round(
     )
     bits = np.array(prep.scheme.message_bits(idx, prep.k)[0])
     scales = None if scales is None else scales[0]
-    return Round(prep.per_client(values, signs), idx[0].T, bits, scales, clips,
+    return Round(prep.per_client(values, signs), idx[0].T.copy(), bits, scales, clips,
                  prep.estimates(values, signs)[0])
 
 

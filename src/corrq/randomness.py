@@ -87,22 +87,29 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return _mix64_inplace(np.array(x, dtype=np.uint64))[()]
 
 
+_BLOCK = 1 << 14  # elements per pass of _mix64_inplace: a 128 KB scratch
+
+
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """mix64 computed in z's own buffer; z must be a uint64 ndarray.
+    """mix64 computed in z's own buffer; z must be a C-contiguous uint64
+    ndarray. A block-sized scratch, not a full-size one, holds the shifts.
 
     In-place ufuncs wrap silently on any ndarray, 0-d included: only
     arithmetic between numpy scalars warns on overflow, and this module
     does none, so no np.errstate is needed.
     """
-    tmp = np.empty_like(z)  # one scratch buffer for the three shifts
-    np.right_shift(z, _SHIFTS[0], out=tmp)
-    z ^= tmp
-    z *= _MULS[0]
-    np.right_shift(z, _SHIFTS[1], out=tmp)
-    z ^= tmp
-    z *= _MULS[1]
-    np.right_shift(z, _SHIFTS[2], out=tmp)
-    z ^= tmp
+    flat = z.reshape(-1)
+    scratch = np.empty(min(flat.size, _BLOCK), dtype=np.uint64)
+    for lo in range(0, flat.size, _BLOCK):
+        block, tmp = flat[lo : lo + _BLOCK], scratch[: flat.size - lo]
+        np.right_shift(block, _SHIFTS[0], out=tmp)
+        block ^= tmp
+        block *= _MULS[0]
+        np.right_shift(block, _SHIFTS[1], out=tmp)
+        block ^= tmp
+        block *= _MULS[1]
+        np.right_shift(block, _SHIFTS[2], out=tmp)
+        block ^= tmp
     return z
 
 
@@ -160,13 +167,14 @@ def child_keys(key: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     return mix64(key_arr ^ idx)
 
 
-def _stream(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """stream_u64 as an ndarray in one fresh buffer: the states
-    key + (counter + 1) * GOLDEN, mixed in place."""
+def _stream(key: int | np.ndarray, counters: np.ndarray, out=None) -> np.ndarray:
+    """stream_u64 as an ndarray in out (C-contiguous, of the broadcast
+    shape) or a fresh buffer: the states key + (counter + 1) * GOLDEN,
+    mixed in place."""
     steps = np.array(counters, dtype=np.uint64)
     steps += _U64(1)
     steps *= _U64(GOLDEN)
-    return _mix64_inplace(np.asarray(steps + np.asarray(key, dtype=np.uint64)))
+    return _mix64_inplace(np.asarray(np.add(steps, np.asarray(key, dtype=np.uint64), out=out)))
 
 
 def stream_u64(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -174,9 +182,10 @@ def stream_u64(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
     return _stream(key, counters)[()]
 
 
-def stream_uniform(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Stream uniforms in [0, 1) with 53-bit resolution."""
-    bits = _stream(key, counters)
+def stream_uniform(key: int | np.ndarray, counters: np.ndarray, out=None) -> np.ndarray:
+    """Stream uniforms in [0, 1) with 53-bit resolution, in out (8-byte,
+    C-contiguous, of the broadcast shape) or a fresh array."""
+    bits = _stream(key, counters, None if out is None else out.view(np.uint64))
     bits >>= _U64(11)
     out = bits.view(np.float64)
     # converted in the stream's own buffer. copyto gives the values of a
@@ -196,23 +205,26 @@ def stream_uniform(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
 _PACKED_CLIENTS = range(32, 1025)
 
 
-def _argsort_in_place(values: np.ndarray) -> np.ndarray:
+def _argsort_in_place(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Overwrite uint64 values (..., n), distinct within each row, with
     np.argsort(values, axis=-1) as int64 in the same buffer, and return
-    that int64 view; see the module docstring for the packed 32-bit sort."""
+    that int64 view; see the module docstring for the packed 32-bit sort.
+    The uint32 halves of scratch (8-byte, values' shape) hold the packed
+    keys and the tie check."""
     n = values.shape[-1]
     perms = values.view(np.int64)
     if n not in _PACKED_CLIENTS:
         perms[...] = np.argsort(values, axis=-1)
         return perms
-    keys = np.empty(values.shape, dtype=np.uint32)
+    keys, gaps = scratch.view(np.uint32).reshape((2,) + values.shape)
     bits = (n - 1).bit_length()
     low = np.uint32((1 << bits) - 1)
     high_words = values.view(np.uint32)[..., 1 if sys.byteorder == "little" else 0 :: 2]
     np.bitwise_and(high_words, ~low, out=keys)
     keys |= np.arange(n, dtype=np.uint32)
     keys.sort(axis=-1)
-    tied = ((keys[..., 1:] ^ keys[..., :-1]) <= low).any(axis=-1)
+    gaps = np.bitwise_xor(keys[..., 1:], keys[..., :-1], out=gaps[..., 1:])
+    tied = np.less_equal(gaps, low, out=gaps).any(axis=-1)
     tied_values = values[tied]
     np.bitwise_and(keys, low, out=perms)
     if tied_values.size:  # those rows argsorted on their full 64 bits
@@ -237,7 +249,7 @@ class ContextArrays(NamedTuple):
 
 def build_context_arrays(
     seeds: np.ndarray, n: int, d: int, k: int, *, grid: bool = True,
-    signs: bool = True,
+    signs: bool = True, out=None,
 ) -> ContextArrays:
     """Build context arrays for each seed in ``seeds`` (any shape).
 
@@ -247,15 +259,19 @@ def build_context_arrays(
     ones build_context(int(seeds[t]), n, d, k) produces. grid=False and
     signs=False skip the grid offsets and the rotation signs, for the
     schemes that read neither; no other stream depends on them.
+
+    out = (a, b), two C-contiguous uint64 arrays of shape seeds.shape +
+    (d, n) (fresh when None), receive the permutations, sorted with b as
+    scratch, and then the offset units.
     """
+    a, b = out or (np.empty(np.shape(seeds) + (d, n), np.uint64) for _ in "ab")
     keys = _stream_keys(seeds, _CONTEXT_LABELS)
     coords = np.arange(d, dtype=np.uint64)
     # the permutation and client-offset keys of every coordinate at once
     coord_keys = child_keys(keys[..., :2, None], coords)
     clients = np.arange(n, dtype=np.uint64)
-    offset_units = stream_uniform(coord_keys[..., 1, :, None], clients)
-    # sorted in the stream's own buffer, which becomes the permutations
-    permutations = _argsort_in_place(stream_u64(coord_keys[..., 0, :, None], clients))
+    permutations = _argsort_in_place(_stream(coord_keys[..., 0, :, None], clients, a), b)
+    offset_units = stream_uniform(coord_keys[..., 1, :, None], clients, b)
     grid_offsets = None
     if grid:
         grid_offsets = (stream_uniform(keys[..., 2, None], coords) - 1.0) / k
@@ -276,12 +292,12 @@ def rotation_signs(seeds: np.ndarray, d: int) -> np.ndarray:
     return _signs(_stream_keys(seeds, _SIGN_LABEL)[..., 0], d)
 
 
-def private_uniforms(seeds: np.ndarray, d: int, n: int) -> np.ndarray:
+def private_uniforms(seeds: np.ndarray, d: int, n: int, out=None) -> np.ndarray:
     """The ``("private", j)`` streams: each seed's U[0,1) per-client
-    rounding uniforms, shape (..., d, n)."""
+    rounding uniforms, shape (..., d, n), in out as in stream_uniform."""
     key = _stream_keys(seeds, _PRIVATE_LABEL)
     coord_keys = child_keys(key, np.arange(d, dtype=np.uint64))
-    return stream_uniform(coord_keys[..., None], np.arange(n, dtype=np.uint64))
+    return stream_uniform(coord_keys[..., None], np.arange(n, dtype=np.uint64), out)
 
 
 def build_context(seed: int, n: int, d: int = 1, k: int = 2) -> ContextArrays:

@@ -120,27 +120,32 @@ def correlated_bits(
     return (permutations + offset_units) < n * frac
 
 
-def level_cells(y: np.ndarray, first_level, k: int):
+def level_cells(y: np.ndarray, first_level, k: int, out=None):
     """Cell index of the largest level strictly below y, and the fraction.
 
     Returns (cell, frac): cell in {0..k-2} indexes the level c below y,
     frac = (y - c) / spacing in [0, 1]. A value exactly on a level gets
     frac 1.0, so the indicator fires deterministically and the level is
-    reproduced exactly.
+    reproduced exactly. out = (cell, frac), int64 and float64 arrays of
+    the broadcast shape (fresh when None), receive them; frac may be y.
     """
-    beta = level_spacing(k)
-    t = (y - first_level) / beta
-    cell = np.clip(np.ceil(t) - 1.0, 0, k - 2).astype(np.int64)
-    frac = np.clip((t - cell), 0.0, 1.0)
-    return cell, frac
+    t = np.subtract(y, first_level, out=None if out is None else out[1])
+    t /= level_spacing(k)
+    cell = np.ceil(t, out=np.empty(t.shape, np.int64) if out is None else out[0],
+                   casting="unsafe")
+    cell -= 1
+    np.minimum(np.maximum(cell, 0, out=cell), k - 2, out=cell)  # np.clip, faster on ints
+    return cell, np.clip(np.subtract(t, cell, out=t), 0.0, 1.0, out=t)
 
 
-def uniform_grid_cells(y: np.ndarray, k: int):
+def uniform_grid_cells(y: np.ndarray, k: int, out=None):
     """Cell and fraction on the uniform k-level grid over [0, 1].
 
     y is in grid-step units times (k-1), i.e. normalized values times
     (k-1). The top endpoint lands in the last cell with fraction 1.
+    out = (cell, frac) as in level_cells; frac may be y.
     """
-    cell = np.clip(np.floor(y), 0, k - 2).astype(np.int64)
-    frac = y - cell
-    return cell, frac
+    cell = np.floor(y, out=np.empty(y.shape, np.int64) if out is None else out[0],
+                    casting="unsafe")
+    np.minimum(np.maximum(cell, 0, out=cell), k - 2, out=cell)
+    return cell, np.subtract(y, cell, out=None if out is None else out[1])

@@ -267,16 +267,24 @@ def kmeans_objective(points: np.ndarray, centers: np.ndarray) -> float:
     """Mean squared distance of each point to its nearest center."""
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    diff = centers[_nearest(points, centers)]
-    np.subtract(points, diff, out=diff)  # one (N, d) array in all
-    diff *= diff
-    # each row's contiguous sum is the broadcast's row sum, bit for bit
-    return float(diff.sum(axis=1).mean())
+    return float(_sq_dists(points, centers, _nearest(points, centers)).mean())
+
+
+def _sq_dists(points: np.ndarray, centers: np.ndarray, assign=None) -> np.ndarray:
+    """((points - centers[assign]) ** 2).sum(axis=1), or to one center if
+    assign is None, bit for bit in blocks of 128 rows: no (N, d) temporary."""
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 128):
+        rows = slice(lo, lo + 128)
+        diff = points[rows] - (centers if assign is None else centers[assign[rows]])
+        diff *= diff
+        out[rows] = diff.sum(axis=1)
+    return out
 
 
 def _kmeans_pp_init(points: np.ndarray, centers: int, rng) -> np.ndarray:
     chosen = [points[rng.integers(points.shape[0])]]
-    d2 = ((points - chosen[0]) ** 2).sum(axis=1)  # to the nearest chosen center
+    d2 = _sq_dists(points, chosen[0])  # to the nearest chosen center
     for _ in range(centers - 1):
         total = d2.sum()
         if total == 0:
@@ -284,7 +292,7 @@ def _kmeans_pp_init(points: np.ndarray, centers: int, rng) -> np.ndarray:
         else:
             idx = rng.choice(points.shape[0], p=d2 / total)
         chosen.append(points[idx])
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(points, points[idx]))
     return np.array(chosen)
 
 

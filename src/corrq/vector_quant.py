@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import bitcodec as bc
-from .scalar_quant import correlated_bits, level_cells, level_spacing
+from .scalar_quant import level_cells, level_spacing
 
 if TYPE_CHECKING:
     from .harness import Round
@@ -157,40 +157,49 @@ def _hadamard(f: int) -> np.ndarray:
     return h
 
 
-def fwht(x: np.ndarray) -> np.ndarray:
+def fwht(x: np.ndarray, out=None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis.
 
     Sylvester (natural) ordering; the last axis length must be a power of
     two. H_m is the Kronecker product of H_f factors of at most 32 rows,
     H_1024 = H_32 (x) H_32, so the transform is one small matmul per
-    factor on a reshaped view, O(m log m) work in all.
+    factor on a reshaped view, O(m log m) work in all. The factors go back
+    and forth between out = (result, scratch), C-contiguous float64 arrays
+    of x's shape (fresh when None); x may be result.
     """
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[-1]
     if m < 1 or m & (m - 1):
         raise ValueError(f"last axis must be a power of two, got {m}")
-    if m == 1:
-        return x.copy()
+    result, scratch = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
+    src, dst = x, scratch if x is result else result
     bits = m.bit_length() - 1
-    y = x
     right = m  # length of the axes after the current factor
     for b in [5] * (bits // 5) + ([bits % 5] if bits % 5 else []):
         f = 1 << b
         right //= f
         if right == 1:  # H_f is symmetric, so rows times H_f
-            y = y.reshape(-1, f)
-            # one row goes through as a block of two: the one-row
-            # (matrix-vector) product rounds differently
-            y = (np.vstack([y, y]) @ _hadamard(f))[:1] if len(y) == 1 else y @ _hadamard(f)
+            rows = src.reshape(-1, f)
+            if len(rows) == 1:
+                # one row goes through as a block of two: the one-row
+                # (matrix-vector) product rounds differently
+                dst[...] = (np.vstack([rows, rows]) @ _hadamard(f))[:1].reshape(dst.shape)
+            else:
+                np.matmul(rows, _hadamard(f), out=dst.reshape(-1, f))
         else:
-            y = _hadamard(f) @ y.reshape(-1, f, right)
-    return y.reshape(x.shape)
+            np.matmul(_hadamard(f), src.reshape(-1, f, right), out=dst.reshape(-1, f, right))
+        src, dst = dst, scratch if dst is result else result
+    if src is not result:  # an odd number of factors, or none (m = 1)
+        np.copyto(result, src)
+    return result
 
 
-def rotate(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def rotate(x: np.ndarray, signs: np.ndarray, out=None) -> np.ndarray:
     """W x = H D x / sqrt(m) along the last axis, x already zero-padded to
-    m; W is orthonormal, so unrotate(rotate(x, s), s, dim) gives x back."""
-    return fwht(signs * x) / math.sqrt(x.shape[-1])
+    m; W is orthonormal, so unrotate(rotate(x, s), s, dim) gives x back.
+    out = (result, scratch) as in fwht, of the broadcast shape."""
+    y = fwht(np.multiply(signs, x, out=None if out is None else out[0]), out)
+    return np.divide(y, math.sqrt(x.shape[-1]), out=y)
 
 
 def unrotate(z: np.ndarray, signs: np.ndarray, dim: int) -> np.ndarray:
@@ -216,26 +225,38 @@ def rotation_scale(radius: float, padded_dim: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cq_encode(y, permutations, offset_units_dn, grid_offsets, k: int):
+def cq_encode(y, permutations, offset_units_dn, grid_offsets, k: int, out=None):
     """Level indices for normalized values y in [0, 1], layout (..., d, n).
 
     k = 2 is the one-bit rule (indices are the bits); k >= 3 uses the
-    randomized grid given by grid_offsets (..., d).
+    randomized grid given by grid_offsets (..., d): level_cells' cell of y
+    plus correlated_bits' indicator of its fraction. out = (indices, sums,
+    work), int64 and float64 arrays of the permutations' shape (work of
+    y's for k = 2; fresh when None), may be the permutations, the offsets
+    and y themselves: each is read before it is written.
     """
+    shape, n = np.shape(permutations), np.shape(permutations)[-1]
+    idx, sums, work = out or (np.empty(shape, np.int64), np.empty(shape), None)
+    # n U_i = pi_i + unit_i; from here on the permutations are dead
+    np.add(permutations, offset_units_dn, out=sums)
     if k == 2:
-        return correlated_bits(y, permutations, offset_units_dn).astype(np.int64)
+        return np.less(sums, np.multiply(y, n, out=work), out=idx)
     first = np.asarray(grid_offsets)[..., None]
-    cell, frac = level_cells(y, first, k)
-    bits = correlated_bits(frac, permutations, offset_units_dn)
-    return cell + bits
+    cell, frac = level_cells(y, first, k, out=(idx, np.empty(shape) if work is None else work))
+    frac *= n
+    return np.add(cell, np.less(sums, frac, out=frac), out=cell, casting="unsafe")
 
 
-def cq_decode(indices, grid_offsets, k: int):
-    """Normalized values for transmitted indices, layout (..., d, n)."""
+def cq_decode(indices, grid_offsets, k: int, out=None):
+    """Normalized values for transmitted indices, layout (..., d, n), in
+    out (a float64 array of their shape, fresh when None)."""
+    out = np.empty(np.shape(indices)) if out is None else out
     if k == 2:
-        return indices.astype(np.float64)
-    first = np.asarray(grid_offsets)[..., None]
-    return first + indices * level_spacing(k)
+        np.copyto(out, indices)
+        return out
+    np.multiply(indices, level_spacing(k), out=out)
+    out += np.asarray(grid_offsets)[..., None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +363,17 @@ def ternary_quantize(batch: VectorBatch, key: int) -> Round:
     return _round(batch, "terngrad", 3, key)
 
 
-def sign_scale_kernel(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sign_scale_kernel(y: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Sign bits and the l2-optimal per-client scale ||y||_1 / m.
 
     sign(0) counts as +1. The scale minimizes ||y - s * sign(y)||_2, so
-    the round-trip error never exceeds ||y||_2.
+    the round-trip error never exceeds ||y||_2. The bits and |y| go into
+    out = (bits, work), int64 and float64 arrays of y's shape (or y).
     """
     y = np.asarray(y, dtype=np.float64)
-    bits = (y >= 0).astype(np.int64)
-    scales = np.abs(y).mean(axis=-1)
-    return bits, scales
+    bits, work = out if out is not None else (np.empty(y.shape, np.int64), None)
+    np.greater_equal(y, 0, out=bits)
+    return bits, np.abs(y, out=work).mean(axis=-1)
 
 
 def rotate_sign_baseline(batch: VectorBatch, key: int) -> Round:

@@ -53,8 +53,9 @@ class TestBitStream:
     def test_validation(self):
         with pytest.raises(bc.InvalidParameterError):
             bc.BitStream(b"\x01", 16)
-        with pytest.raises(bc.InvalidParameterError):
-            bc.BitStream(b"\x01", 4)  # nonzero padding
+        with pytest.raises(bc.MalformedStreamError) as err:
+            bc.BitStream(b"\x01", 4)  # nonzero padding, owned by BitRows
+        assert err.value.bit_offset == 4
         with pytest.raises(bc.InvalidParameterError):
             bc.BitStream.from_bits([0, 2])
 

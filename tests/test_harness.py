@@ -1,6 +1,8 @@
 """Error measurement engine, bound formulas, and batch generators."""
 
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from corrq import bitcodec as bc
 from corrq import harness as hz
 from corrq import scalar_quant as sq
-from corrq.randomness import derive_key, trial_seeds
+from corrq.randomness import build_context_arrays, derive_key, trial_seeds
 from corrq.scalar_quant import ScalarBatch
 from corrq.vector_quant import VectorBatch
 from test_protocol_oracle import oracle_round
@@ -617,3 +619,98 @@ class TestSweepAndCsv:
             hz.sweep("n", [], base, ["independent"], 10, 0)
         with pytest.raises(ValueError):
             hz.sweep("n", [10], base, [], 10, 0)
+
+
+# ---------------------------------------------------------------------------
+# The engine's per-thread workspace
+# ---------------------------------------------------------------------------
+
+
+def _vector_batch(n, d, seed=5):
+    return hz.generate(hz.SyntheticSpec("uniform-mean", n=n, d=d, sigma_md=0.05), seed)
+
+
+def _scheme_k(scheme):
+    return 2 if scheme == "correlated-1bit" else 4
+
+
+@pytest.mark.parametrize("scheme", hz.SCHEMES)
+def test_a_round_is_not_overwritten_by_later_engine_calls(scheme):
+    batch, k = _vector_batch(6, 10), _scheme_k(scheme)
+    held = hz.run_round(batch, scheme, k, 99)
+    saved = [None if a is None else np.copy(a) for a in held]
+    hz.run_round(batch, scheme, k, 100)  # the same shape, another key
+    hz.run_dme(batch, scheme, 5, 3, k=k)
+    for other in hz.SCHEMES:  # other shapes, every buffer role
+        hz.run_dme(_vector_batch(9, 33), other, 4, 8, k=_scheme_k(other))
+    for field, before in zip(held, saved):
+        assert np.array_equal(field, before)
+
+
+def test_a_context_built_without_buffers_is_its_own():
+    seeds = trial_seeds(4, 3)
+    ctx = build_context_arrays(seeds, 7, 5, 4)
+    saved = [np.copy(a) for a in ctx]
+    build_context_arrays(trial_seeds(5, 3), 7, 5, 4)
+    build_context_arrays(trial_seeds(6, 2), 40, 9, 4)
+    for scheme in ("correlated-1bit", "correlated-klevel", "hadamard-cq"):
+        hz.run_dme(_vector_batch(7, 5), scheme, 3, 1, k=_scheme_k(scheme))
+    assert all(np.array_equal(a, b) for a, b in zip(ctx, saved))
+
+
+def test_a_second_same_shape_call_reuses_the_thread_buffers():
+    batch = _vector_batch(10, 40)
+    hz.run_dme(batch, "correlated-klevel", 20, 1, k=4)
+    buffers = list(hz._WORKSPACE.buffers)
+    assert len(buffers) == 3
+    hz.run_dme(batch, "correlated-klevel", 20, 2, k=4)
+    assert all(a is b for a, b in zip(hz._WORKSPACE.buffers, buffers))
+
+
+def test_a_trial_above_the_chunk_size_keeps_no_buffer_above_the_cap():
+    n, d = 2, hz.CHUNK_ELEMENTS // 2 + 8  # one trial is one chunk, too big
+    reports, sizes = [], []
+
+    def work():  # in a thread of its own, whose workspace starts empty
+        for scheme in ("correlated-klevel", "independent"):
+            hz.run_dme(_vector_batch(n, 64), scheme, 2, 4, k=4)  # buffers in use
+            reports.append(hz.run_dme(_vector_batch(n, d), scheme, 2, 4, k=4))
+        sizes.extend(b.size for b in hz._WORKSPACE.buffers)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [r.trials for r in reports] == [2, 2]
+    assert len(sizes) == 3 and max(sizes) <= hz.CHUNK_ELEMENTS
+
+
+def test_threads_on_different_shapes_give_the_serial_reports():
+    jobs = [
+        (_vector_batch(5 + 3 * i, 8 + 7 * i), scheme, 30 + i, i)
+        for i, scheme in enumerate(hz.SCHEMES)
+    ]
+
+    def report(job):
+        batch, scheme, trials, seed = job
+        return hz.run_dme(batch, scheme, trials, seed, k=_scheme_k(scheme)).csv_row()
+
+    want = [report(job) for job in jobs]
+    got = [[] for _ in jobs]
+
+    def worker(i):
+        for _ in range(3):
+            got[i].append(report(jobs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[row] * 3 for row in want]

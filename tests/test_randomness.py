@@ -233,7 +233,7 @@ def test_packed_sort_is_the_stable_argsort():
         assume(all(len(np.unique(row)) == n for row in values))
         want = np.argsort(values, axis=-1, kind="stable")
         with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-            got = rd._argsort_in_place(values.copy())
+            got = rd._argsort_in_place(values.copy(), np.empty_like(values))
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
         if n in rd._PACKED_CLIENTS:

@@ -161,7 +161,7 @@ class TestKmeans:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(1, 40),
+    n=st.one_of(st.integers(1, 40), st.integers(120, 300)),  # one or more row blocks
     c=st.integers(1, 6),
     d=st.sampled_from([1, 2, 3, 7, 16, 100]),
     scale=st.sampled_from([1e-8, 1.0, 1e8]),
@@ -190,6 +190,7 @@ def test_nearest_matches_the_broadcast_bit_for_bit(
     want = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(tk._nearest(points, centers), want.argmin(axis=1))
     assert tk.kmeans_objective(points, centers) == float(want.min(axis=1).mean())
+    assert np.array_equal(tk._sq_dists(points, centers[-1]), want[:, -1])
 
 
 class TestPowerIteration:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from corrq import bitcodec as bc
 from corrq import harness as hz
 from corrq import vector_quant as vq
-from corrq.randomness import build_context, trial_seeds
+from corrq import scalar_quant as sq
+from corrq.randomness import build_context, build_context_arrays, trial_seeds
 
 
 def make_batch(n=6, d=5, seed=7, headroom=1.3):
@@ -496,3 +497,49 @@ def test_scale_tail_is_the_head_then_the_float_bits(bits, scale):
     if len(bits) < 64:
         with pytest.raises(bc.MalformedStreamError):
             vq.split_scale_tail(stream)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 16])
+@pytest.mark.parametrize("full_y", [False, True])
+def test_cq_codec_in_its_inputs_buffers_is_the_reference_rule(k, full_y):
+    # the engine hands cq_encode the context's own arrays (and a rotated
+    # y) as out; the result must be the rule composed from its kernels
+    ctx = build_context_arrays(trial_seeds(9, 4), 40, 6, k)
+    rng = np.random.default_rng(k)
+    y = rng.random((4, 6, 40) if full_y else (6, 40))
+    y[..., :3] = 0.0, 1.0, 0.5  # endpoints and a level
+    if k == 2:
+        want = sq.correlated_bits(y, ctx.permutations, ctx.offset_units).astype(np.int64)
+        want_values = want.astype(np.float64)
+    else:
+        first = ctx.grid_offsets[..., None]
+        cell, frac = sq.level_cells(y, first, k)
+        want = cell + sq.correlated_bits(frac, ctx.permutations, ctx.offset_units)
+        want_values = first + want * sq.level_spacing(k)
+    fresh = vq.cq_encode(y, *ctx[:3], k)
+    perms, offsets, y_in = ctx.permutations.copy(), ctx.offset_units.copy(), y.copy()
+    work = y_in if full_y else np.empty(y.shape if k == 2 else perms.shape)
+    in_place = vq.cq_encode(y_in, perms, offsets, ctx.grid_offsets, k,
+                            out=(perms, offsets, work))
+    assert in_place is perms
+    assert np.array_equal(fresh, want) and np.array_equal(in_place, want)
+    assert np.array_equal(vq.cq_decode(want, ctx.grid_offsets, k), want_values)
+    assert np.array_equal(vq.cq_decode(in_place, ctx.grid_offsets, k, out=offsets),
+                          want_values)
+
+
+@pytest.mark.parametrize("m", [1, 2, 64, 1024, 2048])
+def test_rotation_kernels_in_given_buffers_match_fresh_ones(m):
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(3, 5, m))
+    signs = rng.choice([-1.0, 1.0], size=(3, 1, m))
+    result, scratch = np.empty(x.shape), np.empty(x.shape)
+    got = vq.rotate(x, signs, out=(result, scratch))
+    assert got is result and np.array_equal(got, vq.rotate(x, signs))
+    row = x[0, :1]  # the one-row product
+    assert np.array_equal(vq.fwht(row, out=(np.empty(row.shape), row.copy())), vq.fwht(row))
+    bits, scales = vq.sign_scale_kernel(got)
+    y = got.copy()
+    got_bits, got_scales = vq.sign_scale_kernel(y, out=(np.empty(y.shape, np.int64), y))
+    assert np.array_equal(bits, got_bits) and np.array_equal(scales, got_scales)
+    assert np.array_equal(y, np.abs(got))  # work was y itself
